@@ -14,67 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "core/fleet.h"
+#include "run_result_digest.h"
 #include "util/fault_plan.h"
 
 namespace adavp::core {
 namespace {
-
-class Digest {
- public:
-  void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  template <typename T>
-  void pod(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    bytes(&value, sizeof(value));
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
-
-std::uint64_t digest_run(const RunResult& run) {
-  Digest d;
-  d.pod<std::uint64_t>(run.frames.size());
-  for (const FrameResult& f : run.frames) {
-    d.pod<std::int32_t>(f.frame_index);
-    d.pod<std::uint8_t>(static_cast<std::uint8_t>(f.source));
-    d.pod<std::uint8_t>(static_cast<std::uint8_t>(f.setting));
-    d.pod<double>(f.staleness_ms);
-    d.pod<std::uint64_t>(f.boxes.size());
-    for (const metrics::LabeledBox& b : f.boxes) {
-      d.pod<float>(b.box.left);
-      d.pod<float>(b.box.top);
-      d.pod<float>(b.box.width);
-      d.pod<float>(b.box.height);
-      d.pod<std::uint8_t>(static_cast<std::uint8_t>(b.cls));
-    }
-  }
-  d.pod<std::uint64_t>(run.cycles.size());
-  for (const CycleRecord& c : run.cycles) {
-    d.pod<std::int32_t>(c.detected_frame);
-    d.pod<std::uint8_t>(static_cast<std::uint8_t>(c.setting));
-    d.pod<double>(c.start_ms);
-    d.pod<double>(c.end_ms);
-    d.pod<std::int32_t>(c.frames_in_buffer);
-    d.pod<std::int32_t>(c.frames_tracked);
-    d.pod<double>(c.mean_velocity);
-  }
-  d.pod<double>(run.energy.gpu_wh);
-  d.pod<double>(run.energy.cpu_wh);
-  d.pod<double>(run.timeline_ms);
-  return d.value();
-}
 
 constexpr int kStreams = 6;
 constexpr int kFaulty[] = {1, 4};
