@@ -245,7 +245,8 @@ int run_chaos_smoke(const std::string& out_path) {
   }
 
   std::ofstream json(out_path);
-  json << "{\"smoke\":true,\"chaos\":true,\"scene\":{\"width\":128,"
+  json << "{\"bench\":\"fleet_chaos\",\"smoke\":true,\"chaos\":true,"
+       << "\"scene\":{\"width\":128,"
        << "\"height\":96,\"frames\":" << kFrames
        << "},\"fleet\":{\"streams\":" << kStreams
        << ",\"quarantined\":" << chaos.quarantined
@@ -329,7 +330,7 @@ int main(int argc, char** argv) {
             << util::fmt(gate_row.worst_p99_ratio, 2) << " (want <= 2)\n";
 
   std::ofstream json(out_path);
-  json << "{\"smoke\":" << (smoke ? "true" : "false")
+  json << "{\"bench\":\"fleet\",\"smoke\":" << (smoke ? "true" : "false")
        << ",\"scene\":{\"width\":" << (smoke ? 128 : 192)
        << ",\"height\":" << (smoke ? 96 : 108) << ",\"frames\":" << frames
        << "},\"stream\":{\"setting\":\""

@@ -4,7 +4,8 @@
 //    §14) at one thread, speedup vs the scalar reference. This is the
 //    data-level-parallelism trajectory the simd/ subtree is accountable
 //    for; scripts/bench_gate.py enforces the AVX2 floors from the emitted
-//    `gate` block (avx2 >= 1.5x scalar on pyramid build and LK).
+//    `gate` block (avx2 >= 1.5x scalar on pyramid build and LK). On a host
+//    without AVX2 the block names both guards under `skipped`.
 //  * Thread sweep — 1/2/4/N threads at the auto-dispatched ISA, speedup vs
 //    the serial path (the historical sweep).
 //
@@ -229,7 +230,7 @@ int main(int argc, char** argv) {
   table.print();
 
   std::ofstream json(out_path);
-  json << "{\"smoke\":" << (smoke ? "true" : "false")
+  json << "{\"bench\":\"kernels\",\"smoke\":" << (smoke ? "true" : "false")
        << ",\"frame\":{\"width\":" << width << ",\"height\":" << height
        << "},\"points\":" << n_points << ",\"hardware_threads\":" << hw
        << ",\"detected_isa\":\""
@@ -243,8 +244,7 @@ int main(int argc, char** argv) {
   }
   json << "]";
   if (has_avx2 && avx2_pyramid_ns > 0.0 && avx2_lk_ns > 0.0) {
-    // Scale-invariant ratios the regression gate enforces; omitted (guard
-    // SKIPs, not fails) on hosts without AVX2.
+    // Scale-invariant ratios the regression gate enforces.
     json << ",\"gate\":{\"avx2_pyramid_speedup\":"
          << scalar_pyramid_ns / avx2_pyramid_ns
          << ",\"avx2_lk_speedup\":" << scalar_lk_ns / avx2_lk_ns << "}";
@@ -252,6 +252,11 @@ int main(int argc, char** argv) {
               << util::fmt(scalar_pyramid_ns / avx2_pyramid_ns, 2)
               << " avx2_lk_speedup=" << util::fmt(scalar_lk_ns / avx2_lk_ns, 2)
               << "\n";
+  } else {
+    // The gate owes both guards on every host; say why they cannot run.
+    json << ",\"gate\":{\"skipped\":{\"avx2_pyramid_speedup\":\"no AVX2\","
+         << "\"avx2_lk_speedup\":\"no AVX2\"}}";
+    std::cout << "\ngate: skipped (no AVX2)\n";
   }
   json << "}\n";
   std::cout << "\nwrote " << out_path << "\n";

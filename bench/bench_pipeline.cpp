@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
             << ", fps speedup " << util::fmt(fps_speedup, 2) << "x\n";
 
   std::ofstream json(out_path);
-  json << "{\"smoke\":" << (smoke ? "true" : "false")
+  json << "{\"bench\":\"pipeline\",\"smoke\":" << (smoke ? "true" : "false")
        << ",\"scene\":{\"width\":" << cfg.width << ",\"height\":" << cfg.height
        << ",\"frames\":" << frames << "},\"time_scale\":" << time_scale
        << ",\"mpdt\":[";

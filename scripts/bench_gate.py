@@ -8,7 +8,9 @@ then applies two kinds of checks:
 1. Absolute guards — invariants of the current report that hold at any
    scale, with no noise margin (e.g. the zero-copy pipeline renders each
    frame at most once; the frame store's steady state performs no heap
-   allocation).
+   allocation). Each report owes the guards of the bench it names in its
+   "bench" field; a missing guard fails unless the report explains it
+   under gate.skipped.
 
 2. Baseline comparison (`--baseline old.json`) — directional checks with a
    noise margin (default 30%: wall-clock numbers on shared CI runners are
@@ -30,42 +32,49 @@ import argparse
 import json
 import sys
 
-# Absolute guards: (dotted path, op, bound). Missing paths are reported but
-# do not fail the gate (older reports may predate a metric).
-GUARDS = [
-    # Zero-copy render-once invariant (DESIGN.md): the optimized realtime
-    # pipeline renders each frame exactly once and never re-renders.
-    ("realtime.after.renders_per_frame", "<=", 1.0),
-    ("realtime.after.re_renders", "<=", 0.0),
-    # Allocation-free steady state of the frame store.
-    ("store_steady_state.steady_heap_allocs", "<=", 0.0),
-    # The zero-copy path must not be a pessimization.
-    ("realtime_fps_speedup", ">=", 0.9),
-    # Fleet consolidation (BENCH_FLEET.json, DESIGN.md §13): an 8-stream
-    # fleet must finish in at most a quarter of the sequential pipeline
-    # time, and sharing the GPU must not worsen any single stream's p99
-    # result latency by more than 2x over running that stream alone.
-    ("gate.fleet_fps_speedup", ">=", 4.0),
-    ("gate.p99_latency_ratio", "<=", 2.0),
-    # Fleet supervision (BENCH_FLEET.chaos.json, DESIGN.md §15): under the
-    # chaos fault mix the crashed stream must recover at least half of its
-    # all-healthy served-frame rate — the supervisor re-admits and resumes
-    # the stream instead of shedding it.
-    ("gate.chaos_recovery_fps_ratio", ">=", 0.5),
-    # SIMD tiers (BENCH_KERNELS.json, DESIGN.md §14): on AVX2 hosts the
-    # vectorized pyramid build and LK flow must clear 1.5x over the scalar
-    # reference at one thread. bench_kernels omits the gate block on hosts
-    # without AVX2, so these SKIP rather than fail there. Ratios of
-    # same-report timings are scale-invariant (smoke and full both count).
-    ("gate.avx2_pyramid_speedup", ">=", 1.5),
-    ("gate.avx2_lk_speedup", ">=", 1.5),
-    # Dataflow-graph engines (BENCH_GRAPH.json, DESIGN.md §16): running the
-    # rebased engines through the core::graph scheduler instead of the
-    # legacy loops must cost at most 5% wall-clock on MPDT (the deepest
-    # graph). Min-of-interleaved-reps, so the bound holds without a noise
-    # margin; a same-report ratio is scale-invariant.
-    ("gate.graph_overhead_ratio", "<=", 1.05),
-]
+# Absolute guards: (dotted path, op, bound), keyed by the report that owes
+# them. Every report names itself in its top-level "bench" field. A guard
+# missing from the report that owes it fails the gate unless the report
+# lists it under gate.skipped with a reason (host-dependent skips), so a
+# bench that stops emitting its gate block cannot pass silently.
+GUARDS = {
+    # BENCH_PIPELINE.json.
+    "pipeline": [
+        # Zero-copy render-once invariant (DESIGN.md): the optimized
+        # realtime pipeline renders each frame exactly once and never
+        # re-renders.
+        ("realtime.after.renders_per_frame", "<=", 1.0),
+        ("realtime.after.re_renders", "<=", 0.0),
+        # Allocation-free steady state of the frame store.
+        ("store_steady_state.steady_heap_allocs", "<=", 0.0),
+        # The zero-copy path must not be a pessimization.
+        ("realtime_fps_speedup", ">=", 0.9),
+    ],
+    # BENCH_FLEET.json (DESIGN.md §13): an 8-stream fleet must finish in at
+    # most a quarter of the sequential pipeline time, and sharing the GPU
+    # must not worsen any single stream's p99 result latency by more than
+    # 2x over running that stream alone.
+    "fleet": [
+        ("gate.fleet_fps_speedup", ">=", 4.0),
+        ("gate.p99_latency_ratio", "<=", 2.0),
+    ],
+    # BENCH_FLEET.chaos.json (DESIGN.md §15): under the chaos fault mix the
+    # crashed stream must recover at least half of its all-healthy
+    # served-frame rate — the supervisor re-admits and resumes the stream
+    # instead of shedding it.
+    "fleet_chaos": [
+        ("gate.chaos_recovery_fps_ratio", ">=", 0.5),
+    ],
+    # BENCH_KERNELS.json (DESIGN.md §14): on AVX2 hosts the vectorized
+    # pyramid build and LK flow must clear 1.5x over the scalar reference
+    # at one thread. Hosts without AVX2 list both under gate.skipped.
+    # Ratios of same-report timings are scale-invariant (smoke and full
+    # both count).
+    "kernels": [
+        ("gate.avx2_pyramid_speedup", ">=", 1.5),
+        ("gate.avx2_lk_speedup", ">=", 1.5),
+    ],
+}
 
 # Direction per metric leaf name: -1 lower is better, +1 higher is better.
 # Unlisted leaves are informational only.
@@ -95,8 +104,6 @@ DIRECTION = {
     "deadline_miss_rate": -1,
     "avx2_pyramid_speedup": 1,
     "avx2_lk_speedup": 1,
-    "graph_overhead_ratio": -1,
-    "overhead_ratio": -1,
 }
 
 # Leaves that are meaningful across scales (per-frame ratios and steady-state
@@ -115,8 +122,6 @@ SCALE_INVARIANT = {
     "speedup",
     "avx2_pyramid_speedup",
     "avx2_lk_speedup",
-    "graph_overhead_ratio",
-    "overhead_ratio",
 }
 
 # Counter-ish metrics near zero: relative margins are useless there, allow
@@ -159,11 +164,22 @@ def same_scale(doc_a, doc_b):
     return frames_a == frames_b
 
 
-def check_guards(flat):
+def check_guards(doc, flat):
+    kind = doc.get("bench")
+    if kind not in GUARDS:
+        print(f"  guard  FAIL  report names no known bench (bench={kind!r}); "
+              f"known: {', '.join(sorted(GUARDS))}")
+        return ["bench"]
+    skipped = doc.get("gate", {}).get("skipped", {})
     failures = []
-    for path, op, bound in GUARDS:
+    for path, op, bound in GUARDS[kind]:
         if path not in flat:
-            print(f"  guard  SKIP  {path} (not in report)")
+            reason = skipped.get(path.removeprefix("gate."))
+            if reason:
+                print(f"  guard  SKIP  {path} ({reason})")
+                continue
+            print(f"  guard  FAIL  {path} (missing from the report)")
+            failures.append(path)
             continue
         value = flat[path]
         ok = value <= bound if op == "<=" else value >= bound
@@ -208,7 +224,7 @@ def main():
 
     doc, flat = load_flat(args.report)
     print(f"bench_gate: {args.report} ({len(flat)} metrics)")
-    failures = check_guards(flat)
+    failures = check_guards(doc, flat)
 
     if args.baseline:
         base_doc, base_flat = load_flat(args.baseline)

@@ -48,19 +48,23 @@ if [ "$soak_only" = "1" ]; then
   ctest --test-dir build-tsan -L "$label" --output-on-failure -j "$jobs"
 else
   echo "==> ctest"
-  ctest --preset "$preset" -j "$jobs"
+  # The JUnit report names the failing case of a flaky run
+  # (written to the preset's build directory).
+  ctest --preset "$preset" -j "$jobs" --output-junit ctest-junit.xml
 fi
 
 if [ "$preset" = "release" ]; then
-  # Graph-vs-legacy engine backends (DESIGN.md §16): the equivalence suite
-  # runs once per backend — graph is the build default, so rerun it with
-  # the legacy loops forced and the same golden digests must hold.
-  echo "==> test_engine_equivalence (ADAVP_GRAPH_ENGINES=0)"
-  ADAVP_GRAPH_ENGINES=0 ctest --test-dir build -R test_engine_equivalence \
-    --output-on-failure
-
   echo "==> bench_pipeline --smoke"
   ./build/bench/bench_pipeline --smoke --out=build/BENCH_PIPELINE.smoke.json
+
+  # The gate itself: a report missing a guard it owes must fail.
+  echo "==> bench_gate self-test"
+  selftest="build/bench_gate_selftest.json"
+  echo '{"bench":"fleet","gate":{"fleet_fps_speedup":5.0}}' > "$selftest"
+  if python3 scripts/bench_gate.py "$selftest" > /dev/null; then
+    echo "bench_gate passed a report that is missing a guard" >&2
+    exit 1
+  fi
 
   # Regression gate: absolute invariants always; directional comparison
   # against a previous report when BENCH_BASELINE points at one (the gate
@@ -86,16 +90,6 @@ if [ "$preset" = "release" ]; then
   echo "==> bench_gate (fleet chaos)"
   python3 scripts/bench_gate.py build/BENCH_FLEET.chaos.json \
     ${BENCH_FLEET_CHAOS_BASELINE:+--baseline "$BENCH_FLEET_CHAOS_BASELINE"}
-
-  # Graph-dispatch overhead gate (DESIGN.md §16): executing the rebased
-  # engines as dataflow graphs must cost <= 5% wall-clock over the retained
-  # legacy loops (min of interleaved reps; digests must match or the bench
-  # itself fails).
-  echo "==> bench_graph --smoke"
-  ./build/bench/bench_graph --smoke --out=build/BENCH_GRAPH.smoke.json
-  echo "==> bench_gate (graph)"
-  python3 scripts/bench_gate.py build/BENCH_GRAPH.smoke.json \
-    ${BENCH_GRAPH_BASELINE:+--baseline "$BENCH_GRAPH_BASELINE"}
 
   # SIMD tier gate (DESIGN.md §14): sweeps every compiled ISA tier (the
   # "dispatched isa:" line shows what this host resolves to) and enforces

@@ -201,4 +201,9 @@ std::vector<detect::Detection> decay_detections(
     const std::vector<detect::Detection>& last_good, int age, double decay,
     double score_floor);
 
+/// The coasting policy every supervisor applies through decay_detections:
+/// per-frame confidence decay, and the score below which an object drops.
+inline constexpr double kCoastDecay = 0.85;
+inline constexpr double kCoastScoreFloor = 0.1;
+
 }  // namespace adavp::core

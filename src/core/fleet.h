@@ -160,7 +160,10 @@ struct FleetStreamResult {
   double stagger_ms = 0.0;
   StreamQueueStats queue;
   int degrade_steps = 0;  ///< self-degradation downshifts during the run
-  int coast_cycles = 0;   ///< cycles served tracker-only at the ladder floor
+  /// Cycles served tracker-only by plan: at the ladder floor, or the first
+  /// cycle after a restart. Retry-exhausted dispatches also coast, but are
+  /// counted in supervision.gpu_failures instead.
+  int coast_cycles = 0;
   /// Result-staleness percentiles over the stream's frames (ms).
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "core/graph/graph.h"
@@ -8,19 +7,10 @@
 
 namespace adavp::core::graph {
 
-/// Whether the rebased engines (detect-only, continuous, MPDT/AdaVP) run on
-/// the core::graph scheduler (the default) or on the retained legacy loops.
-/// Env toggle: ADAVP_GRAPH_ENGINES=0|off|false selects legacy — this is the
-/// switch CI uses to guard graph-vs-legacy byte-identity.
-bool graph_engines_enabled();
-
-/// Test hook overriding the env toggle in-process (nullopt restores it).
-/// Lets one test run both backends back to back and compare digests.
-void force_graph_engines_for_testing(std::optional<bool> enabled);
-
 /// The engine ring topologies, declarative graph specs over one
-/// EngineContext. Builders only wire; the caller runs. The context must
-/// outlive the graph.
+/// EngineContext. They are the only implementation of these engines:
+/// run_detect_only, run_continuous and run_mpdt each build one and run it.
+/// Builders only wire; the caller runs. The context must outlive the graph.
 ///
 /// detect-only:  camera -> detector -> sink -(tick)-> camera
 /// continuous:   camera -> detector -> sink            (no ring: camera
@@ -37,10 +27,10 @@ Graph build_mpdt_graph(EngineContext& ctx, detect::ModelSetting setting,
 
 /// Graphviz topology for any engine by name ("mpdt", "adavp",
 /// "detect_only", "continuous", "marlin", "realtime", "offload"). The three
-/// rebased engines export their real executable wiring; the legacy engines
-/// export a descriptive diagram of their hard-coded loop so `quickstart
-/// --graph-out` covers the whole engine table. Throws GraphError on an
-/// unknown engine name.
+/// graph engines above export their real executable wiring; MARLIN,
+/// realtime and offload, which run hand-written loops, export a descriptive
+/// diagram so `quickstart --graph-out` covers the whole engine table.
+/// Throws GraphError on an unknown engine name.
 std::string engine_topology_dot(const std::string& engine);
 
 }  // namespace adavp::core::graph

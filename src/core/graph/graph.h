@@ -27,9 +27,9 @@ namespace adavp::core::graph {
 /// time. Each step activates the most-downstream runnable node — nodes are
 /// scanned in *reverse insertion order* (builders add nodes source-first,
 /// sink-last, so sinks drain before sources produce), which keeps queues
-/// shallow and reproduces the legacy engines' one-cycle-at-a-time
-/// interleave exactly. A node is runnable when every required input has a
-/// packet queued, every connected output edge has room (backpressure), and
+/// shallow and gives the engines their one-cycle-at-a-time interleave. A
+/// node is runnable when every required input has a packet queued, every
+/// connected output edge has room (backpressure), and
 /// — for a source — it is not exhausted. The run ends when no node is
 /// runnable: with all required-input queues empty that is completion
 /// (latest-wins leftovers on *optional* inputs are dropped); with packets

@@ -46,7 +46,7 @@ void CameraSourceNode::process(NodeRun& run) {
 
   // The detector fetches the newest frame captured by the time the previous
   // cycle finished; when it outpaced the camera it waits for the next
-  // capture (legacy loops' wait branch, verbatim).
+  // capture.
   int next = ctx_.newest_captured(done.t_ms);
   double start = done.t_ms;
   if (next <= done.index) {
@@ -195,7 +195,7 @@ void TrackerCatchupNode::process(NodeRun& run) {
     out.frames_between = batch.frames_between;
     out.tracked = batch.tracked;
     // A cycle whose batch was fully cancelled reports the last measured
-    // velocity (legacy: `velocity_steps > 0 ? mean : previous_velocity`).
+    // velocity.
     out.report_velocity =
         batch.velocity_steps > 0 ? batch.mean_velocity : prev_velocity_;
   }
@@ -229,8 +229,8 @@ void SinkNode::process(NodeRun& run) {
       const DetectionEvent& ev = p.get<DetectionEvent>();
       const double t = ev.ticket.start_ms + ev.det.latency_ms;
       ctx_.record_detection(ev.ticket.index, ev.det, ev.ticket.setting, t);
-      // `t - latency` (not start_ms): replicates the legacy loop's
-      // `t += latency; ... t - latency` float arithmetic bit-for-bit.
+      // `t - latency`, not start_ms: the two can differ in the last bit,
+      // and the golden digests pin this form.
       ctx_.run.cycles.push_back(
           {ev.ticket.index, ev.ticket.setting, t - ev.det.latency_ms, t, 0, 0,
            0.0});

@@ -15,8 +15,8 @@ namespace adavp::core::graph {
 // --- packet payloads ---------------------------------------------------------
 // The typed vocabulary the engine graphs speak. All payloads are small value
 // types; frame *pixels* never ride the engine streams — nodes fetch them
-// through EngineContext::frame() so camera-fault billing stays exactly where
-// the legacy loops put it. (FrameRef payloads are first-class Packet citizens
+// through EngineContext::frame() so camera faults are billed where the frame
+// is read. (FrameRef payloads are first-class Packet citizens
 // too — the resampler is payload-agnostic and tests pin that dropping a
 // FrameRef packet releases the frame buffer immediately.)
 
@@ -27,8 +27,7 @@ struct FrameTicket {
   double start_ms = 0.0;
   detect::ModelSetting setting = detect::ModelSetting::kYolov3_512;
   /// The prologue cycle (frame 0, nothing to track yet). The adapter passes
-  /// it through untouched and the MPDT sink logs no cycle metrics for it,
-  /// mirroring the legacy loop's pre-loop detection.
+  /// it through untouched and the MPDT sink logs no cycle metrics for it.
   bool initial = false;
 };
 
@@ -165,9 +164,9 @@ class DegradationNode : public Node {
 
 /// One fault-wrapped, GPU-billed detection per ticket
 /// (EngineContext::detect_on_gpu). `continuous_power` selects the saturated
-/// no-frame-skipping operating point; `emit_detect_span` reproduces the
-/// legacy baselines' per-detect wall-clock span (the virtual-time MPDT
-/// engine never had one).
+/// no-frame-skipping operating point; `emit_detect_span` adds the
+/// detector-only baselines' per-detect wall-clock span (the virtual-time
+/// MPDT engine has none).
 class DetectorNode : public Node {
  public:
   DetectorNode(EngineContext& ctx, bool continuous_power,
@@ -205,11 +204,11 @@ class TrackerCatchupNode : public Node {
   int velocity_out_ = -1;
 };
 
-/// Assembles RunResult exactly the way the legacy loop it replaces did —
-/// records the detection, appends the cycle record, logs the engine's
-/// metrics, advances the run clock — and (in the ring modes) emits the
-/// CycleTick that clocks the camera. One mode per rebased engine so the
-/// recorded float arithmetic replicates each loop's formulas verbatim.
+/// Assembles the RunResult — records the detection, appends the cycle
+/// record, logs the engine's metrics, advances the run clock — and (in the
+/// ring modes) emits the CycleTick that clocks the camera. One mode per
+/// engine; each mode's float arithmetic is pinned by the golden digests in
+/// tests/test_engine_equivalence.cpp.
 class SinkNode : public Node {
  public:
   enum class Mode { kDetectOnly, kContinuous, kMpdt };

@@ -395,7 +395,7 @@ RealtimeResult run_realtime(const video::SyntheticVideo& video,
                   ? std::vector<detect::Detection>{}
                   : decay_detections(last_good,
                                      frame->index - last_good_frame,
-                                     sup.coast_decay, sup.coast_score_floor);
+                                     kCoastDecay, kCoastScoreFloor);
           FrameResult fr;
           fr.frame_index = frame->index;
           fr.source = ResultSource::kTracker;

@@ -29,12 +29,6 @@ struct SupervisorOptions {
   /// Degradation ladder tuning (trip threshold, recovery hysteresis,
   /// probe backoff at the tracker-only floor).
   LadderOptions ladder;
-  /// Per-frame confidence decay applied to the last good detections while
-  /// coasting; an object whose decayed score sinks below
-  /// `coast_score_floor` is dropped, so stale boxes fade out instead of
-  /// lingering forever.
-  double coast_decay = 0.85;
-  double coast_score_floor = 0.1;
 };
 
 /// Options for the real multithreaded pipeline.

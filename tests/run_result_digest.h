@@ -1,6 +1,6 @@
-// Canonical RunResult digest shared by the equivalence suites
-// (test_engine_equivalence.cpp pins the golden constants;
-// test_graph.cpp compares graph-backed vs legacy-loop backends with it).
+// Canonical RunResult digest shared by every suite that compares runs
+// (test_engine_equivalence.cpp and test_fleet_chaos.cpp pin golden
+// constants with it; the fleet suites compare repeats and neighbors).
 //
 // FNV-1a 64 over a fixed serialization of every observable RunResult field:
 // frames (source/setting/staleness/boxes), cycles, energy rails, timeline,

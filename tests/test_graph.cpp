@@ -10,10 +10,10 @@
 //  2. Calculator library semantics: the resampler's cadence throttle and
 //     its packet-ownership guarantee (a dropped FrameRef packet releases
 //     its pixels immediately), the degradation cap, type-checked wiring.
-//  3. Graph-vs-legacy byte-identity: the rebased engines (detect-only,
-//     continuous, MPDT fixed + AdaVP) produce digest-identical RunResults
-//     on either backend, fault-free and under a seeded chaos FaultPlan —
-//     the in-process counterpart of CI's ADAVP_GRAPH_ENGINES=0 rerun.
+//  3. Engine failure path: a throwing detector fails the MPDT graph with an
+//     engine-annotated Status and a well-formed partial result. The engine
+//     outputs themselves are pinned by the fault-free and chaos golden
+//     digests in test_engine_equivalence.cpp.
 //  4. Graph scheduling is bit-identical across repeats and vision-kernel
 //     thread counts, and its telemetry composes under a fleet stream's
 //     metric prefix ("fleet.streamN.graph.node.<name>.*").
@@ -21,16 +21,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/baselines.h"
 #include "core/graph/engine_graphs.h"
 #include "core/graph/graph.h"
 #include "core/graph/nodes.h"
 #include "core/mpdt_pipeline.h"
-#include "core/training.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "run_result_digest.h"
@@ -439,20 +436,11 @@ TEST(DegradationNodeTest, OverrunSignalsCapTheTicketSetting) {
   EXPECT_EQ(degradation.ladder().steps_down(), 1);
 }
 
-// --- graph-vs-legacy byte-identity ------------------------------------------
-
-/// RAII backend selector around force_graph_engines_for_testing.
-class ForcedBackend {
- public:
-  explicit ForcedBackend(bool graph) {
-    force_graph_engines_for_testing(graph);
-  }
-  ~ForcedBackend() { force_graph_engines_for_testing(std::nullopt); }
-};
+// --- the graph engines ---------------------------------------------------
 
 video::SceneConfig small_scene() {
   video::SceneConfig cfg;
-  cfg.name = "graph-equivalence";
+  cfg.name = "graph-engines";
   cfg.width = 192;
   cfg.height = 120;
   cfg.frame_count = 80;
@@ -466,101 +454,8 @@ video::SceneConfig small_scene() {
 
 constexpr std::uint64_t kSeed = 421;
 
-// The chaos spec from test_engine_equivalence.cpp: all three channels, no
-// throws, so runs stay digestable.
-constexpr const char* kChaosSpec =
-    "detector: latency every=9 x=2.5; garbage at=40 n=4 | "
-    "camera: black at=25; corrupt every=47 amp=90; hiccup every=31 ms=45 | "
-    "tracker: starve every=17 frac=0.4; diverge at=33 px=6; nan at=57";
-
-template <typename RunFn>
-void expect_backends_identical(const video::SyntheticVideo& video,
-                               RunFn run_fn, bool with_faults) {
-  std::optional<util::FaultPlan> plan;
-  if (with_faults) {
-    std::string error;
-    plan = util::FaultPlan::parse(kChaosSpec, 9, &error);
-    ASSERT_TRUE(plan.has_value()) << error;
-  }
-  const util::FaultPlan* plan_ptr = plan.has_value() ? &*plan : nullptr;
-  std::uint64_t graph_digest = 0;
-  std::uint64_t legacy_digest = 0;
-  std::uint64_t graph_faults = 0;
-  std::uint64_t legacy_faults = 0;
-  {
-    ForcedBackend backend(/*graph=*/true);
-    const RunResult run = run_fn(video, plan_ptr);
-    graph_digest = digest_run(run);
-    graph_faults = run.faults_injected;
-    EXPECT_FALSE(run.status.failed()) << run.status.to_string();
-  }
-  {
-    ForcedBackend backend(/*graph=*/false);
-    const RunResult run = run_fn(video, plan_ptr);
-    legacy_digest = digest_run(run);
-    legacy_faults = run.faults_injected;
-  }
-  EXPECT_EQ(graph_digest, legacy_digest);
-  EXPECT_EQ(graph_faults, legacy_faults);
-}
-
-TEST(GraphVsLegacy, DetectOnlyIsByteIdenticalOnBothBackends) {
+TEST(GraphEngines, MpdtIsBitIdenticalAcrossKernelThreadCounts) {
   const video::SyntheticVideo video(small_scene());
-  const auto run_fn = [](const video::SyntheticVideo& v,
-                         const util::FaultPlan* plan) {
-    DetectOnlyOptions options;
-    options.seed = kSeed;
-    options.fault_plan = plan;
-    return run_detect_only(v, options);
-  };
-  expect_backends_identical(video, run_fn, /*with_faults=*/false);
-  expect_backends_identical(video, run_fn, /*with_faults=*/true);
-}
-
-TEST(GraphVsLegacy, ContinuousIsByteIdenticalOnBothBackends) {
-  const video::SyntheticVideo video(small_scene());
-  const auto run_fn = [](const video::SyntheticVideo& v,
-                         const util::FaultPlan* plan) {
-    DetectOnlyOptions options;
-    options.seed = kSeed;
-    options.fault_plan = plan;
-    return run_continuous(v, options);
-  };
-  expect_backends_identical(video, run_fn, /*with_faults=*/false);
-  expect_backends_identical(video, run_fn, /*with_faults=*/true);
-}
-
-TEST(GraphVsLegacy, MpdtFixedIsByteIdenticalOnBothBackends) {
-  const video::SyntheticVideo video(small_scene());
-  const auto run_fn = [](const video::SyntheticVideo& v,
-                         const util::FaultPlan* plan) {
-    MpdtOptions options;
-    options.seed = kSeed;
-    options.fault_plan = plan;
-    return run_mpdt(v, options);
-  };
-  expect_backends_identical(video, run_fn, /*with_faults=*/false);
-  expect_backends_identical(video, run_fn, /*with_faults=*/true);
-}
-
-TEST(GraphVsLegacy, AdaVpIsByteIdenticalOnBothBackends) {
-  const video::SyntheticVideo video(small_scene());
-  const adapt::ModelAdapter adapter = pretrained_adapter();
-  const auto run_fn = [&adapter](const video::SyntheticVideo& v,
-                                 const util::FaultPlan* plan) {
-    MpdtOptions options;
-    options.adapter = &adapter;
-    options.seed = kSeed;
-    options.fault_plan = plan;
-    return run_mpdt(v, options);
-  };
-  expect_backends_identical(video, run_fn, /*with_faults=*/false);
-  expect_backends_identical(video, run_fn, /*with_faults=*/true);
-}
-
-TEST(GraphVsLegacy, GraphBackendIsBitIdenticalAcrossKernelThreadCounts) {
-  const video::SyntheticVideo video(small_scene());
-  ForcedBackend backend(/*graph=*/true);
   MpdtOptions options;
   options.seed = kSeed;
   options.tracker.kernels.num_threads = 1;
@@ -573,11 +468,10 @@ TEST(GraphVsLegacy, GraphBackendIsBitIdenticalAcrossKernelThreadCounts) {
   EXPECT_EQ(digest_run(serial), digest_run(run_mpdt(video, options)));
 }
 
-TEST(GraphVsLegacy, ThrowingDetectorFailsWithTheEngineAnnotatedStatus) {
+TEST(GraphEngines, ThrowingDetectorFailsWithTheEngineAnnotatedStatus) {
   const video::SyntheticVideo video(small_scene());
   const auto plan = util::FaultPlan::parse("detector: throw every=1", 9);
   ASSERT_TRUE(plan.has_value());
-  ForcedBackend backend(/*graph=*/true);
   MpdtOptions options;
   options.seed = kSeed;
   options.fault_plan = &*plan;
