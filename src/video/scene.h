@@ -116,12 +116,8 @@ class SyntheticVideo {
   /// the frame).
   const std::vector<GroundTruthObject>& ground_truth(int index) const;
 
-  /// Mean true object displacement between consecutive frames, averaged
-  /// over the whole video — a reference "content change rate" used by
-  /// tests and dataset builders (includes camera pan).
-  double mean_true_speed() const { return mean_true_speed_; }
-
- private:
+  /// One object as frame `index` draws it: screen coordinates, unclamped
+  /// (an object entering the frame has a negative `left`).
   struct ObjectSnapshot {
     int object_id;
     ObjectClass cls;
@@ -132,6 +128,24 @@ class SyntheticVideo {
     std::uint64_t texture_seed;
   };
 
+  /// Every live object of frame `index` in paint order (later ones cover
+  /// earlier ones), including the parts outside the frame.
+  const std::vector<ObjectSnapshot>& objects(int index) const {
+    return frames_.at(static_cast<std::size_t>(index));
+  }
+
+  /// Camera x-offset of frame `index`: screen column x shows the
+  /// background at world x + pan_offset(index).
+  double pan_offset(int index) const {
+    return pan_offset_.at(static_cast<std::size_t>(index));
+  }
+
+  /// Mean true object displacement between consecutive frames, averaged
+  /// over the whole video — a reference "content change rate" used by
+  /// tests and dataset builders (includes camera pan).
+  double mean_true_speed() const { return mean_true_speed_; }
+
+ private:
   void precompute_trajectories();
   /// Rasterizes the rows [row_begin, row_end) of `obj` into `img`.
   void rasterize_object_rows(vision::ImageU8& img, const ObjectSnapshot& obj,

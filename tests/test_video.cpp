@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <set>
 #include <thread>
 
+#include "run_result_digest.h"
+#include "util/rng.h"
 #include "video/camera.h"
 #include "video/frame_buffer.h"
 #include "video/frame_store.h"
@@ -182,6 +187,252 @@ TEST(SyntheticVideoTest, RowParallelRenderBitIdenticalToSerial) {
     video.render_into(f, threaded, /*num_threads=*/4);
     EXPECT_EQ(serial.pixels(), threaded.pixels()) << "frame " << f;
     EXPECT_EQ(serial.pixels(), video.render(f).pixels()) << "frame " << f;
+  }
+}
+
+// ------------------------------------------------ pixel golden digests ---
+// The engine goldens see pixels only indirectly, through tracking. These
+// pin the raster bytes themselves: FNV-1a 64 over each frame's pixels,
+// folded in frame order into one digest per scene.
+
+std::uint64_t frame_digest(const vision::ImageU8& img) {
+  core::Digest d;
+  d.pod<std::int32_t>(img.width());
+  d.pod<std::int32_t>(img.height());
+  d.bytes(img.pixels().data(), img.pixels().size());
+  return d.value();
+}
+
+std::uint64_t video_digest(const SyntheticVideo& video) {
+  core::Digest d;
+  for (int f = 0; f < video.frame_count(); ++f) {
+    d.pod<std::uint64_t>(frame_digest(video.render(f)));
+  }
+  return d.value();
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llX",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Large objects under a fractional leftward pan: most of them hang over
+/// one or more frame edges (negative left/top) in every frame.
+SceneConfig edge_straddling_pan_scene() {
+  SceneConfig cfg;
+  cfg.width = 160;
+  cfg.height = 120;
+  cfg.frame_count = 30;
+  cfg.seed = 0x5EED;
+  cfg.camera_pan = -2.37;
+  cfg.min_obj_size = 90.0;
+  cfg.max_obj_size = 150.0;
+  cfg.initial_objects = 6;
+  cfg.max_objects = 8;
+  cfg.speed_mean = 2.5;
+  cfg.noise_sigma = 2.5;
+  return cfg;
+}
+
+/// An odd 97x53 frame with small objects and no sensor noise.
+SceneConfig odd_size_noiseless_scene() {
+  SceneConfig cfg;
+  cfg.width = 97;
+  cfg.height = 53;
+  cfg.frame_count = 20;
+  cfg.seed = 97053;
+  cfg.camera_pan = 0.61;
+  cfg.min_obj_size = 7.0;
+  cfg.max_obj_size = 30.0;
+  cfg.initial_objects = 4;
+  cfg.noise_sigma = 0.0;
+  return cfg;
+}
+
+TEST(SyntheticVideoTest, EdgeStraddlingSceneCoversAllFourEdges) {
+  // Keeps the golden below from silently losing the clipped-object paths.
+  const SyntheticVideo video(edge_straddling_pan_scene());
+  const float w = static_cast<float>(video.config().width);
+  const float h = static_cast<float>(video.config().height);
+  bool left = false, top = false, right = false, bottom = false;
+  for (int f = 0; f < video.frame_count(); ++f) {
+    for (const auto& obj : video.objects(f)) {
+      const bool on_screen = obj.left < w && obj.top < h &&
+                             obj.left + obj.width > 0.0f &&
+                             obj.top + obj.height > 0.0f;
+      if (!on_screen) continue;
+      left |= obj.left < 0.0f;
+      top |= obj.top < 0.0f;
+      right |= obj.left + obj.width > w;
+      bottom |= obj.top + obj.height > h;
+    }
+  }
+  EXPECT_TRUE(left && top && right && bottom)
+      << left << top << right << bottom;
+}
+
+TEST(SyntheticVideoTest, PixelDigestsMatchGolden) {
+  struct Case {
+    std::string name;
+    SceneConfig config;
+    std::uint64_t golden;
+  };
+  const std::vector<SceneConfig> test_set = make_test_set(2020, 12);
+  SceneConfig noisy = odd_size_noiseless_scene();
+  noisy.name = "odd_97x53_noisy";
+  noisy.noise_sigma = 4.0;
+  const std::vector<Case> cases = {
+      {"test0_surveillance_highway", test_set[0], 0x27BF2A888BCEA775ULL},
+      {"test6_carmount_highway", test_set[6], 0xA8E151D32765C359ULL},
+      {"test7_carmount_downtown", test_set[7], 0x4F44C8F1A29598F1ULL},
+      {"test11_mobile_racetrack", test_set[11], 0x1D9D205395B46AB3ULL},
+      {"edge_straddling_pan", edge_straddling_pan_scene(), 0xF3F9C600C661F996ULL},
+      {"odd_97x53_noiseless", odd_size_noiseless_scene(), 0x0E4479211A75722EULL},
+      {"odd_97x53_noisy", noisy, 0x230B15396C9FAF25ULL},
+  };
+  for (const Case& c : cases) {
+    const SyntheticVideo video(c.config);
+    EXPECT_EQ(hex(video_digest(video)), hex(c.golden)) << c.name;
+  }
+}
+
+// ----------------------------------------------------- renderer oracle ---
+// A verbatim copy of the original per-pixel rasterizer: two value-noise
+// octaves, each hashing its four lattice corners at every pixel. It is
+// slow and obviously right; the production renderer must match it byte
+// for byte.
+namespace oracle {
+
+std::uint64_t hash3(std::uint64_t seed, std::int64_t a, std::int64_t b) {
+  std::uint64_t x = seed ^ (static_cast<std::uint64_t>(a) * 0x9E3779B97F4A7C15ULL) ^
+                    (static_cast<std::uint64_t>(b) * 0xC2B2AE3D27D4EB4FULL);
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+float hash_unit(std::uint64_t seed, std::int64_t a, std::int64_t b) {
+  return static_cast<float>((hash3(seed, a, b) >> 11) * 0x1.0p-53);
+}
+
+float smoothstep(float t) { return t * t * (3.0f - 2.0f * t); }
+
+float value_noise(float x, float y, std::uint64_t seed, float cell) {
+  const float gx = x / cell;
+  const float gy = y / cell;
+  const auto ix = static_cast<std::int64_t>(std::floor(gx));
+  const auto iy = static_cast<std::int64_t>(std::floor(gy));
+  const float fx = smoothstep(gx - static_cast<float>(ix));
+  const float fy = smoothstep(gy - static_cast<float>(iy));
+  const float v00 = hash_unit(seed, ix, iy);
+  const float v10 = hash_unit(seed, ix + 1, iy);
+  const float v01 = hash_unit(seed, ix, iy + 1);
+  const float v11 = hash_unit(seed, ix + 1, iy + 1);
+  const float top = v00 + fx * (v10 - v00);
+  const float bot = v01 + fx * (v11 - v01);
+  return top + fy * (bot - top);
+}
+
+float texture(float x, float y, std::uint64_t seed) {
+  const float coarse = value_noise(x, y, seed, 9.0f) - 0.5f;
+  const float fine = value_noise(x, y, seed ^ 0xABCDEF1234567890ULL, 3.5f) - 0.5f;
+  return coarse * 0.7f + fine * 0.5f;
+}
+
+vision::ImageU8 render(const SyntheticVideo& video, int index) {
+  const SceneConfig& config = video.config();
+  vision::ImageU8 img(config.width, config.height);
+  const auto pan = static_cast<float>(video.pan_offset(index));
+  const std::uint64_t background_seed = hash3(config.seed, 0x6261636B, 0);
+
+  for (int y = 0; y < config.height; ++y) {
+    for (int x = 0; x < config.width; ++x) {
+      const float wx = static_cast<float>(x) + pan;
+      const float wy = static_cast<float>(y);
+      const float v = 120.0f + 45.0f * texture(wx, wy, background_seed);
+      img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
+    }
+  }
+
+  for (const auto& obj : video.objects(index)) {
+    const geometry::BoundingBox box{obj.left, obj.top, obj.width, obj.height};
+    const geometry::BoundingBox visible = geometry::clamp_to(box, img.size());
+    if (visible.empty()) continue;
+    const int x0 = static_cast<int>(std::floor(visible.left));
+    const int y0 = static_cast<int>(std::floor(visible.top));
+    const int x1 = static_cast<int>(std::ceil(visible.right()));
+    const int y1 = static_cast<int>(std::ceil(visible.bottom()));
+    const float base = 90.0f + 110.0f * hash_unit(obj.texture_seed, 17, 23);
+    const auto contrast = static_cast<float>(config.texture_contrast);
+    for (int y = y0; y < y1 && y < img.height(); ++y) {
+      for (int x = x0; x < x1 && x < img.width(); ++x) {
+        if (x < 0 || y < 0) continue;
+        const float lx = static_cast<float>(x) - obj.left;
+        const float ly = static_cast<float>(y) - obj.top;
+        if (lx < 0.0f || ly < 0.0f || lx >= obj.width || ly >= obj.height) continue;
+        float v = base + contrast * texture(lx, ly, obj.texture_seed);
+        const float edge = std::min(std::min(lx, ly),
+                                    std::min(obj.width - lx, obj.height - ly));
+        if (edge < 2.0f) v -= 45.0f * (2.0f - edge) / 2.0f;
+        img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
+      }
+    }
+  }
+
+  if (config.noise_sigma > 0.0) {
+    const std::uint64_t noise_seed = hash3(config.seed, 0x6E6F6973, index);
+    const auto sigma = static_cast<float>(config.noise_sigma);
+    for (int y = 0; y < config.height; ++y) {
+      for (int x = 0; x < config.width; ++x) {
+        const float u = hash_unit(noise_seed, x, y) - 0.5f;
+        const float v = static_cast<float>(img.at(x, y)) + 3.4f * sigma * u;
+        img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
+      }
+    }
+  }
+  return img;
+}
+
+}  // namespace oracle
+
+/// A random scene: tiny to mid-size frames, pans of either sign with
+/// fractional parts, object sides from a few pixels to wider than the
+/// frame.
+SceneConfig random_scene(util::Rng& rng) {
+  SceneConfig cfg;
+  cfg.seed = rng.next_u64();
+  cfg.width = rng.chance(0.3) ? rng.uniform_int(1, 15) : rng.uniform_int(16, 200);
+  cfg.height = rng.chance(0.3) ? rng.uniform_int(1, 15) : rng.uniform_int(16, 150);
+  cfg.frame_count = 5;
+  cfg.camera_pan = rng.chance(0.2) ? 0.0 : rng.uniform(-4.5, 4.5);
+  cfg.min_obj_size = rng.uniform(2.0, 40.0);
+  cfg.max_obj_size = cfg.min_obj_size + rng.uniform(0.0, 160.0);
+  cfg.initial_objects = rng.uniform_int(0, 6);
+  cfg.max_objects = std::max(cfg.initial_objects, rng.uniform_int(0, 8));
+  cfg.speed_mean = rng.uniform(0.2, 4.0);
+  cfg.texture_contrast = rng.uniform(10.0, 140.0);
+  cfg.noise_sigma = rng.chance(0.3) ? 0.0 : rng.uniform(0.2, 6.0);
+  return cfg;
+}
+
+TEST(SyntheticVideoTest, RendererMatchesPerPixelOracle) {
+  util::Rng rng(0x0AC1E);
+  for (int trial = 0; trial < 48; ++trial) {
+    const SceneConfig cfg = random_scene(rng);
+    const SyntheticVideo video(cfg);
+    for (int f = 0; f < cfg.frame_count; ++f) {
+      const vision::ImageU8 want = oracle::render(video, f);
+      ASSERT_EQ(video.render(f).pixels(), want.pixels())
+          << "trial " << trial << " frame " << f << " (" << cfg.width << "x"
+          << cfg.height << ", pan " << cfg.camera_pan << ")";
+      vision::ImageU8 threaded;
+      video.render_into(f, threaded, /*num_threads=*/4);
+      ASSERT_EQ(threaded.pixels(), want.pixels())
+          << "trial " << trial << " frame " << f << " (" << cfg.width << "x"
+          << cfg.height << ", pan " << cfg.camera_pan << ", 4 threads)";
+    }
   }
 }
 
