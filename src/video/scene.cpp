@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "util/scratch_arena.h"
 #include "util/thread_pool.h"
 
 namespace adavp::video {
@@ -23,28 +25,139 @@ float hash_unit(std::uint64_t seed, std::int64_t a, std::int64_t b) {
 
 float smoothstep(float t) { return t * t * (3.0f - 2.0f * t); }
 
-/// Smooth value noise in [0,1] over a lattice with the given cell size.
-float value_noise(float x, float y, std::uint64_t seed, float cell) {
-  const float gx = x / cell;
-  const float gy = y / cell;
-  const auto ix = static_cast<std::int64_t>(std::floor(gx));
-  const auto iy = static_cast<std::int64_t>(std::floor(gy));
-  const float fx = smoothstep(gx - static_cast<float>(ix));
-  const float fy = smoothstep(gy - static_cast<float>(iy));
-  const float v00 = hash_unit(seed, ix, iy);
-  const float v10 = hash_unit(seed, ix + 1, iy);
-  const float v01 = hash_unit(seed, ix, iy + 1);
-  const float v11 = hash_unit(seed, ix + 1, iy + 1);
-  const float top = v00 + fx * (v10 - v00);
-  const float bot = v01 + fx * (v11 - v01);
-  return top + fy * (bot - top);
-}
+/// One octave of smooth value noise in [0,1], evaluated over a strip of
+/// pixel columns one row at a time.
+///
+/// Value noise at (x, y) bilinearly blends the hashed values of the four
+/// lattice corners around (x / cell, y / cell). Within a strip the lattice
+/// column and x-blend weight of every pixel column are fixed, so they are
+/// computed once; within a lattice row every column's x-blend of the top
+/// and bottom corners is fixed too, so `set_row` recomputes those only
+/// when the lattice row changes, and a pixel costs one lerp. Every value
+/// comes from the same float operations in the same order as the direct
+/// per-pixel formula (`gx - ix`, smoothstep, `v00 + fx * (v10 - v00)`,
+/// `top + fy * (bot - top)`), so the output is bit-identical to it —
+/// provided the compiler does not contract mul/add pairs into FMAs (see
+/// ADAVP_NATIVE in the top-level CMakeLists.txt).
+///
+/// All storage comes from `arena` and is valid until its enclosing Scope
+/// ends.
+class NoiseOctave {
+ public:
+  /// `xs[i]` is the noise-space x of strip column i, i in [0, n), n >= 1.
+  NoiseOctave(util::ScratchArena& arena, std::uint64_t seed, float cell,
+              const float* xs, int n)
+      : seed_(seed), cell_(cell), n_(n) {
+    const auto count = static_cast<std::size_t>(n);
+    col_ = arena.alloc<std::int32_t>(count);
+    fx_ = arena.alloc<float>(count);
+    top_ = arena.alloc<float>(count);
+    bot_ = arena.alloc<float>(count);
+    // Pass 1 finds the strip's lattice column range, pass 2 stores each
+    // column's offset into it and its x-weight.
+    ix_lo_ = std::numeric_limits<std::int64_t>::max();
+    std::int64_t ix_hi = std::numeric_limits<std::int64_t>::min();
+    for (int i = 0; i < n; ++i) {
+      const auto ix = static_cast<std::int64_t>(std::floor(xs[i] / cell_));
+      ix_lo_ = std::min(ix_lo_, ix);
+      ix_hi = std::max(ix_hi, ix);
+    }
+    for (int i = 0; i < n; ++i) {
+      const float gx = xs[i] / cell_;
+      const auto ix = static_cast<std::int64_t>(std::floor(gx));
+      col_[i] = static_cast<std::int32_t>(ix - ix_lo_);
+      fx_[i] = smoothstep(gx - static_cast<float>(ix));
+    }
+    // Lattice corners ix_lo .. ix_hi + 1 of one lattice row.
+    lattice_size_ = static_cast<int>(ix_hi - ix_lo_ + 2);
+    lattice_ = arena.alloc<float>(static_cast<std::size_t>(lattice_size_));
+  }
 
-/// Two-octave texture centred on 0 with unit-ish amplitude.
-float texture(float x, float y, std::uint64_t seed) {
-  const float coarse = value_noise(x, y, seed, 9.0f) - 0.5f;
-  const float fine = value_noise(x, y, seed ^ 0xABCDEF1234567890ULL, 3.5f) - 0.5f;
-  return coarse * 0.7f + fine * 0.5f;
+  /// Moves to noise-space row `y`. Rows may come in any order; ascending
+  /// rows (the rasterizer's order) reuse the previous lattice row.
+  void set_row(float y) {
+    const float gy = y / cell_;
+    const auto iy = static_cast<std::int64_t>(std::floor(gy));
+    fy_ = smoothstep(gy - static_cast<float>(iy));
+    if (has_row_ && iy == iy_) return;
+    if (has_row_ && iy == iy_ + 1) {
+      std::swap(top_, bot_);
+    } else {
+      blend_lattice_row(iy, top_);
+    }
+    blend_lattice_row(iy + 1, bot_);
+    iy_ = iy;
+    has_row_ = true;
+  }
+
+  /// The current row's y-blend inputs, copied out so that the caller's
+  /// pixel loop reads locals rather than members it might alias.
+  struct Row {
+    const float* top;
+    const float* bot;
+    float fy;
+    /// Noise at strip column `i`.
+    float at(int i) const { return top[i] + fy * (bot[i] - top[i]); }
+  };
+  Row row() const { return {top_, bot_, fy_}; }
+
+ private:
+  /// out[i] = x-blend of lattice row `iy` at strip column i.
+  void blend_lattice_row(std::int64_t iy, float* out) {
+    for (int k = 0; k < lattice_size_; ++k) {
+      lattice_[k] = hash_unit(seed_, ix_lo_ + k, iy);
+    }
+    for (int i = 0; i < n_; ++i) {
+      const float v0 = lattice_[col_[i]];
+      const float v1 = lattice_[col_[i] + 1];
+      out[i] = v0 + fx_[i] * (v1 - v0);
+    }
+  }
+
+  std::uint64_t seed_;
+  float cell_;
+  int n_;
+  std::int32_t* col_ = nullptr;  ///< lattice column - ix_lo_, per strip column
+  float* fx_ = nullptr;          ///< smoothstep x-weight, per strip column
+  float* top_ = nullptr;         ///< x-blend of lattice row iy_
+  float* bot_ = nullptr;         ///< x-blend of lattice row iy_ + 1
+  float* lattice_ = nullptr;     ///< hash values of one lattice row
+  int lattice_size_ = 0;
+  std::int64_t ix_lo_ = 0;
+  std::int64_t iy_ = 0;
+  bool has_row_ = false;
+  float fy_ = 0.0f;
+};
+
+/// Two-octave texture centred on 0 with unit-ish amplitude, over a strip.
+class Texture {
+ public:
+  Texture(util::ScratchArena& arena, std::uint64_t seed, const float* xs, int n)
+      : coarse_(arena, seed, 9.0f, xs, n),
+        fine_(arena, seed ^ 0xABCDEF1234567890ULL, 3.5f, xs, n),
+        n_(n) {}
+
+  /// out[i] = texture at (xs[i], y), i in [0, n).
+  void row(float y, float* out) {
+    coarse_.set_row(y);
+    fine_.set_row(y);
+    const NoiseOctave::Row c = coarse_.row();
+    const NoiseOctave::Row f = fine_.row();
+    for (int i = 0; i < n_; ++i) {
+      const float coarse = c.at(i) - 0.5f;
+      const float fine = f.at(i) - 0.5f;
+      out[i] = coarse * 0.7f + fine * 0.5f;
+    }
+  }
+
+ private:
+  NoiseOctave coarse_;
+  NoiseOctave fine_;
+  int n_;
+};
+
+std::uint8_t to_pixel(float v) {
+  return static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
 }
 
 }  // namespace
@@ -219,32 +332,46 @@ void SyntheticVideo::rasterize_object_rows(vision::ImageU8& img,
   const geometry::BoundingBox box{obj.left, obj.top, obj.width, obj.height};
   const geometry::BoundingBox visible = geometry::clamp_to(box, img.size());
   if (visible.empty()) return;
-  const int x0 = static_cast<int>(std::floor(visible.left));
-  const int y0 =
-      std::max(static_cast<int>(std::floor(visible.top)), row_begin);
-  const int x1 = static_cast<int>(std::ceil(visible.right()));
-  const int y1 =
-      std::min(static_cast<int>(std::ceil(visible.bottom())), row_end);
+  // Texture is sampled in object-local coordinates so it moves rigidly
+  // (sub-pixel) with the object. Local x grows monotonically with x, so the
+  // columns inside the object form one contiguous strip.
+  int x0 = std::max(static_cast<int>(std::floor(visible.left)), 0);
+  int x1 = std::min(static_cast<int>(std::ceil(visible.right())), img.width());
+  const auto local_x = [&](int x) { return static_cast<float>(x) - obj.left; };
+  while (x0 < x1 && local_x(x0) < 0.0f) ++x0;
+  while (x1 > x0 && local_x(x1 - 1) >= obj.width) --x1;
+  const int y0 = std::max(
+      {static_cast<int>(std::floor(visible.top)), row_begin, 0});
+  const int y1 = std::min(
+      {static_cast<int>(std::ceil(visible.bottom())), row_end, img.height()});
+  if (x0 >= x1 || y0 >= y1) return;
+
+  util::ScratchArena& arena = util::ScratchArena::thread_local_arena();
+  const util::ScratchArena::Scope scope(arena);
+  const int n = x1 - x0;
+  float* lx = arena.alloc<float>(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) lx[i] = local_x(x0 + i);
+  Texture texture(arena, obj.texture_seed, lx, n);
+  float* t = arena.alloc<float>(static_cast<std::size_t>(n));
 
   // Base tone per object so objects stand out from each other and from the
-  // background; texture is sampled in object-local coordinates so it moves
-  // rigidly (sub-pixel) with the object.
+  // background.
   const float base =
       90.0f + 110.0f * hash_unit(obj.texture_seed, 17, 23);
   const auto contrast = static_cast<float>(config_.texture_contrast);
 
-  for (int y = y0; y < y1 && y < img.height(); ++y) {
-    for (int x = x0; x < x1 && x < img.width(); ++x) {
-      if (x < 0 || y < 0) continue;
-      const float lx = static_cast<float>(x) - obj.left;
-      const float ly = static_cast<float>(y) - obj.top;
-      if (lx < 0.0f || ly < 0.0f || lx >= obj.width || ly >= obj.height) continue;
-      float v = base + contrast * texture(lx, ly, obj.texture_seed);
+  for (int y = y0; y < y1; ++y) {
+    const float ly = static_cast<float>(y) - obj.top;
+    if (ly < 0.0f || ly >= obj.height) continue;
+    texture.row(ly, t);
+    std::uint8_t* out = &img.at(x0, y);
+    for (int i = 0; i < n; ++i) {
+      float v = base + contrast * t[i];
       // Darken a thin border so the object silhouette has strong edges.
-      const float edge = std::min(std::min(lx, ly),
-                                  std::min(obj.width - lx, obj.height - ly));
+      const float edge = std::min(std::min(lx[i], ly),
+                                  std::min(obj.width - lx[i], obj.height - ly));
       if (edge < 2.0f) v -= 45.0f * (2.0f - edge) / 2.0f;
-      img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
+      out[i] = to_pixel(v);
     }
   }
 }
@@ -300,16 +427,23 @@ vision::ImageU8 SyntheticVideo::rasterize(int index) const {
 
 void SyntheticVideo::rasterize_rows(int index, vision::ImageU8& img,
                                     int row_begin, int row_end) const {
+  const int width = config_.width;
+  if (width <= 0 || row_begin >= row_end) return;
   const auto& snaps = frames_.at(static_cast<std::size_t>(index));
   const auto pan = static_cast<float>(pan_offset_.at(static_cast<std::size_t>(index)));
 
   // Background: world-anchored noise that scrolls with the camera pan.
-  for (int y = row_begin; y < row_end; ++y) {
-    for (int x = 0; x < config_.width; ++x) {
-      const float wx = static_cast<float>(x) + pan;
-      const float wy = static_cast<float>(y);
-      const float v = 120.0f + 45.0f * texture(wx, wy, background_seed_);
-      img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
+  {
+    util::ScratchArena& arena = util::ScratchArena::thread_local_arena();
+    const util::ScratchArena::Scope scope(arena);
+    float* wx = arena.alloc<float>(static_cast<std::size_t>(width));
+    for (int x = 0; x < width; ++x) wx[x] = static_cast<float>(x) + pan;
+    Texture texture(arena, background_seed_, wx, width);
+    float* t = arena.alloc<float>(static_cast<std::size_t>(width));
+    for (int y = row_begin; y < row_end; ++y) {
+      texture.row(static_cast<float>(y), t);
+      std::uint8_t* out = &img.at(0, y);
+      for (int x = 0; x < width; ++x) out[x] = to_pixel(120.0f + 45.0f * t[x]);
     }
   }
   for (const auto& obj : snaps) {
@@ -321,10 +455,10 @@ void SyntheticVideo::rasterize_rows(int index, vision::ImageU8& img,
     const std::uint64_t noise_seed = hash3(config_.seed, 0x6E6F6973, index);
     const auto sigma = static_cast<float>(config_.noise_sigma);
     for (int y = row_begin; y < row_end; ++y) {
-      for (int x = 0; x < config_.width; ++x) {
+      std::uint8_t* row = &img.at(0, y);
+      for (int x = 0; x < width; ++x) {
         const float u = hash_unit(noise_seed, x, y) - 0.5f;
-        const float v = static_cast<float>(img.at(x, y)) + 3.4f * sigma * u;
-        img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
+        row[x] = to_pixel(static_cast<float>(row[x]) + 3.4f * sigma * u);
       }
     }
   }
