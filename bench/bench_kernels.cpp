@@ -15,10 +15,16 @@
 //   ./bench_kernels [--width=1280] [--height=720] [--points=240]
 //                   [--reps=9] [--smoke] [--out=BENCH_KERNELS.json]
 //
-// `--smoke` shrinks the frame and rep count for CI wiring checks; the
-// per-ISA speedup ratios are scale-invariant, so the gate block is
-// meaningful at either scale. Thread-sweep speedups depend on the host: on
-// a single-core runner every thread count degenerates to the serial path.
+// `--smoke` cuts the thread sweep to 3 reps for CI; it keeps the full frame
+// and point count, because the gated ratios depend on the workload (LK's
+// AVX2 speedup read about 1.6 at 640x360 with 120 points, against about 2
+// at 1280x720 with 240), so a smaller smoke frame would gate a different
+// number than the full run reports. The ISA sweep interleaves the tiers rep
+// by rep, so a burst of host noise lands on every tier alike instead of on
+// whichever tier was being timed, and it takes the best of at least
+// kMinIsaReps reps at either scale. Thread-sweep speedups depend on the
+// host: on a single-core runner every thread count degenerates to the
+// serial path.
 
 #include <algorithm>
 #include <chrono>
@@ -55,20 +61,35 @@ vision::ImageU8 make_frame(int w, int h, std::uint32_t seed) {
   return img;
 }
 
-/// Best-of-`reps` wall time of `fn`, in nanoseconds.
-double time_ns(int reps, const std::function<void()>& fn) {
-  fn();  // warm-up: pool startup, arena growth, page faults
-  double best = 1e30;
+/// Floor on the ISA sweep's reps (see the header comment).
+constexpr int kMinIsaReps = 15;
+
+double elapsed_ns(const std::function<void()>& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+}
+
+/// Best-of-`reps` wall time of each of `fns`, in nanoseconds. Rep i times
+/// every fn once before rep i + 1 starts, so the candidates share the
+/// host's noise.
+std::vector<double> time_interleaved_ns(
+    int reps, const std::vector<std::function<void()>>& fns) {
+  for (const auto& fn : fns) fn();  // warm-up: pool startup, arena growth
+  std::vector<double> best(fns.size(), 1e30);
   for (int i = 0; i < reps; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, static_cast<double>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                      .count()));
+    for (std::size_t k = 0; k < fns.size(); ++k) {
+      best[k] = std::min(best[k], elapsed_ns(fns[k]));
+    }
   }
   return best;
+}
+
+/// Best-of-`reps` wall time of `fn`, in nanoseconds.
+double time_ns(int reps, const std::function<void()>& fn) {
+  return time_interleaved_ns(reps, {fn})[0];
 }
 
 struct Row {
@@ -84,9 +105,9 @@ struct Row {
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const bool smoke = args.has("smoke");
-  const int width = args.get_int("width", smoke ? 640 : 1280);
-  const int height = args.get_int("height", smoke ? 360 : 720);
-  const int n_points = args.get_int("points", smoke ? 120 : 240);
+  const int width = args.get_int("width", 1280);
+  const int height = args.get_int("height", 720);
+  const int n_points = args.get_int("points", 240);
   const int reps = args.get_int("reps", smoke ? 3 : 9);
   const std::string out_path =
       args.get("out", smoke ? "BENCH_KERNELS.smoke.json" : "BENCH_KERNELS.json");
@@ -110,7 +131,8 @@ int main(int argc, char** argv) {
 
   std::cout << "==== bench_kernels ====\n"
             << "frame " << width << "x" << height << ", " << n_points
-            << " LK points, best of " << reps << " reps, hardware threads: "
+            << " LK points, best of " << reps << " reps (ISA sweep: "
+            << std::max(reps, kMinIsaReps) << ", interleaved), hardware threads: "
             << hw << (smoke ? ", smoke" : "") << "\n"
             << "dispatched isa: "
             << vision::simd::isa_name(vision::simd::detected_isa())
@@ -189,12 +211,18 @@ int main(int argc, char** argv) {
   double avx2_pyramid_ns = 0.0;
   double avx2_lk_ns = 0.0;
   for (const Kernel& k : kernels) {
-    double scalar_ns = 0.0;
+    std::vector<std::function<void()>> per_tier;
     for (const vision::simd::Isa isa : tiers) {
       vision::KernelConfig cfg;
       cfg.num_threads = 1;
       cfg.isa = isa;
-      const double ns = time_ns(reps, [&] { k.op(cfg); });
+      per_tier.push_back([&k, cfg] { k.op(cfg); });
+    }
+    const std::vector<double> tier_ns = time_interleaved_ns(std::max(reps, kMinIsaReps), per_tier);
+    double scalar_ns = 0.0;
+    for (std::size_t t = 0; t < tiers.size(); ++t) {
+      const vision::simd::Isa isa = tiers[t];
+      const double ns = tier_ns[t];
       if (isa == vision::simd::Isa::kScalar) scalar_ns = ns;
       rows.push_back({k.name, vision::simd::isa_name(isa), 1, ns,
                       scalar_ns > 0.0 ? scalar_ns / ns : 1.0});
