@@ -5,7 +5,9 @@
 //    data-level-parallelism trajectory the simd/ subtree is accountable
 //    for; scripts/bench_gate.py enforces the AVX2 floors from the emitted
 //    `gate` block (avx2 >= 1.5x scalar on pyramid build and LK). On a host
-//    without AVX2 the block names both guards under `skipped`.
+//    without AVX2 the block names both guards under `skipped`. The
+//    `lk_flow_border` row (the LK call on points next to the frame edges,
+//    where windows sample replicate-border tiles) is report-only.
 //  * Thread sweep — 1/2/4/N threads at the auto-dispatched ISA, speedup vs
 //    the serial path (the historical sweep).
 //
@@ -203,6 +205,27 @@ int main(int argc, char** argv) {
                        std::vector<vision::FlowStatus> status;
                        vision::calc_optical_flow_pyr_lk(pa, pb, points, out,
                                                         status, {}, cfg);
+                     }});
+
+  // Report-only: the same call on points within r + 2 px of an edge (the
+  // default radius 7), so every window at every level samples through a
+  // replicate-border tile. No gate reads this row.
+  std::vector<geometry::Point2f> border_points;
+  for (int i = 0; i < n_points; ++i) {
+    const float d = 0.5f + static_cast<float>(i % 9);  // px from the edge
+    const float along_x = 16.0f + static_cast<float>((i * 37) % (width - 32));
+    const float along_y = 16.0f + static_cast<float>((i * 61) % (height - 32));
+    const float right = static_cast<float>(width - 1) - d;
+    const float bottom = static_cast<float>(height - 1) - d;
+    const geometry::Point2f on_edge[4] = {
+        {d, along_y}, {right, along_y}, {along_x, d}, {along_x, bottom}};
+    border_points.push_back(on_edge[i % 4]);
+  }
+  kernels.push_back({"lk_flow_border", [&](const vision::KernelConfig& cfg) {
+                       std::vector<geometry::Point2f> out;
+                       std::vector<vision::FlowStatus> status;
+                       vision::calc_optical_flow_pyr_lk(pa, pb, border_points,
+                                                        out, status, {}, cfg);
                      }});
 
   // ---- ISA sweep: every tier, one thread, speedup vs scalar -------------

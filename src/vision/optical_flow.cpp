@@ -1,10 +1,10 @@
 #include "vision/optical_flow.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/telemetry.h"
 #include "util/scratch_arena.h"
-#include "vision/image_ops.h"
 #include "vision/simd/dispatch.h"
 #include "vision/simd/kernels_ref.h"
 
@@ -19,11 +19,27 @@ struct GradientWindow {
   float gyy = 0.0f;
 };
 
-/// Central-difference derivative of `img` sampled bilinearly at (x, y).
-inline void sample_gradient(const ImageF32& img, float x, float y, float& dx,
-                            float& dy) {
-  dx = (sample_bilinear(img, x + 1.0f, y) - sample_bilinear(img, x - 1.0f, y)) * 0.5f;
-  dy = (sample_bilinear(img, x, y + 1.0f) - sample_bilinear(img, x, y - 1.0f)) * 0.5f;
+/// Per-thread workspace of one LK chunk, carved from the thread's
+/// ScratchArena and 32-byte aligned for the AVX2 samplers. The window
+/// arrays hold (2r+1)^2 floats; `tile` holds the (2r+7)^2 replicate-border
+/// copy a border window samples from.
+struct LkScratch {
+  float* ivals;
+  float* ixs;
+  float* iys;
+  float* jvals;
+  float* tile;
+};
+
+/// Largest |coordinate| (level pixels) LK samples at. Far beyond any real
+/// frame, small enough that every float coordinate and tile origin
+/// converts to int exactly; a NaN, infinite or larger estimate ends the
+/// point untracked instead of reaching an int conversion.
+constexpr float kMaxCoordinate = 1048576.0f;  // 2^20
+
+/// False for NaN, ±inf and anything beyond ±kMaxCoordinate.
+inline bool in_coordinate_range(float x, float y) {
+  return std::abs(x) <= kMaxCoordinate && std::abs(y) <= kMaxCoordinate;
 }
 
 /// True when every bilinear tap within `margin` of (x, y) is strictly
@@ -35,24 +51,68 @@ inline bool window_interior(float x, float y, float margin, int w, int h) {
          y + margin <= static_cast<float>(h - 2);
 }
 
+/// The block a window's taps read from, in the samplers' terms: `pix`
+/// with row stride `stride` holds pixel (ox, oy) first.
+struct TapSource {
+  const float* pix;
+  int stride;
+  int ox;
+  int oy;
+};
+
+/// Where the taps within `margin` px of (x, y) read from. An interior
+/// window reads the level in place. A border window reads an n x n tile
+/// (n = 2 * margin + 3) centered on floor(x, y) and filled with the
+/// level's replicate-border pixels, tile[j * n + i] =
+/// img.at_clamped(ox + i, oy + j) — exactly the pixels the clamped
+/// `sample_bilinear` would read. Its extent covers the taps' bilinear
+/// footprints plus one pixel of float-rounding slack per side (the
+/// samplers add the window offsets in float). Returns false, reading
+/// nothing, when (x, y) is outside `in_coordinate_range`.
+bool tap_source(const ImageF32& img, float x, float y, int margin, float* tile,
+                TapSource& src) {
+  const int w = img.width();
+  const int h = img.height();
+  const float* pix = img.pixels().data();
+  if (window_interior(x, y, static_cast<float>(margin), w, h)) {
+    src = {pix, w, 0, 0};
+    return true;
+  }
+  if (!in_coordinate_range(x, y)) return false;
+  const int reach = margin + 1;
+  const int n = 2 * reach + 1;
+  const int ox = simd::ref::floor_to_int(x) - reach;
+  const int oy = simd::ref::floor_to_int(y) - reach;
+  // Tile columns [0, lo) lie left of the image, [hi, n) right of it.
+  const int lo = std::clamp(-ox, 0, n);
+  const int hi = std::clamp(w - ox, lo, n);
+  for (int j = 0; j < n; ++j) {
+    const float* row =
+        pix + static_cast<std::size_t>(std::clamp(oy + j, 0, h - 1)) * w;
+    float* dst = tile + static_cast<std::size_t>(j) * n;
+    std::fill(dst, dst + lo, row[0]);
+    if (hi > lo) std::copy(row + ox + lo, row + ox + hi, dst + lo);
+    std::fill(dst + hi, dst + n, row[w - 1]);
+  }
+  src = {tile, n, ox, oy};
+  return true;
+}
+
 /// Tracks one point through the pyramid. `kRadius >= 0` is the
 /// compile-time fixed-radius fast path (fully unrolled window loops for
 /// the default radius); `kRadius == -1` reads the radius from `params`.
-/// `ivals`/`ixs`/`iys`/`jvals` are caller-provided scratch of (2r+1)^2
-/// floats (32-byte aligned for the SIMD samplers).
 ///
-/// Interior windows sample through `ops` (value + gradient arrays filled
-/// one lane per pixel, bit-identical floats to the scalar reference); the
-/// gxx/gxy/gyy and bx/by/residual reductions below always run scalar in
-/// raster order, so the accumulated sums are bit-identical across every
-/// ISA tier (DESIGN.md §14). Border windows keep the historical clamped
-/// loops verbatim.
+/// Every window samples through `ops` (value + gradient arrays filled one
+/// lane per pixel), reading the level in place or a replicate-border tile
+/// (`tap_source`), so all windows give the floats of the clamped
+/// per-pixel `sample_bilinear`. The gxx/gxy/gyy and bx/by/residual
+/// reductions below always run scalar in raster order, so the accumulated
+/// sums are bit-identical across every ISA tier (DESIGN.md §14).
 template <int kRadius>
 void track_point(const ImagePyramid& prev, const ImagePyramid& next, int levels,
                  const LucasKanadeParams& params, const simd::SimdOps& ops,
-                 const geometry::Point2f& p0, float* ivals, float* ixs,
-                 float* iys, float* jvals, geometry::Point2f& out_point,
-                 FlowStatus& out_status) {
+                 const geometry::Point2f& p0, const LkScratch& s,
+                 geometry::Point2f& out_point, FlowStatus& out_status) {
   const int r = kRadius >= 0 ? kRadius : params.window_radius;
   const float window_count = static_cast<float>((2 * r + 1) * (2 * r + 1));
   const std::size_t window_pixels = static_cast<std::size_t>((2 * r + 1)) *
@@ -65,44 +125,25 @@ void track_point(const ImagePyramid& prev, const ImagePyramid& next, int levels,
   for (int level = levels - 1; level >= 0; --level) {
     const ImageF32& I = prev.level(level);
     const ImageF32& J = next.level(level);
-    const int iw = I.width();
-    const int ih = I.height();
-    const int jw = J.width();
-    const int jh = J.height();
-    const float* ipix = I.pixels().data();
-    const float* jpix = J.pixels().data();
     const float scale = 1.0f / static_cast<float>(1 << level);
     const geometry::Point2f p{p0.x * scale, p0.y * scale};
 
     // Structure tensor of the previous image around p, plus per-pixel
     // gradients cached for the iterative update.
+    TapSource src{};
+    if (!tap_source(I, p.x, p.y, r + 2, s.tile, src)) {
+      ok = false;
+      break;
+    }
+    ops.lk_sample_window(src.pix, src.stride, src.ox, src.oy, p.x, p.y, r,
+                         s.ivals, s.ixs, s.iys);
     GradientWindow gw;
-    std::size_t idx = 0;
-    if (window_interior(p.x, p.y, static_cast<float>(r + 2), iw, ih)) {
-      ops.lk_sample_window(ipix, iw, p.x, p.y, r, ivals, ixs, iys);
-      for (idx = 0; idx < window_pixels; ++idx) {
-        const float ix = ixs[idx];
-        const float iy = iys[idx];
-        gw.gxx += ix * ix;
-        gw.gxy += ix * iy;
-        gw.gyy += iy * iy;
-      }
-    } else {
-      for (int wy = -r; wy <= r; ++wy) {
-        for (int wx = -r; wx <= r; ++wx, ++idx) {
-          const float sx = p.x + static_cast<float>(wx);
-          const float sy = p.y + static_cast<float>(wy);
-          float ix = 0.0f;
-          float iy = 0.0f;
-          sample_gradient(I, sx, sy, ix, iy);
-          ivals[idx] = sample_bilinear(I, sx, sy);
-          ixs[idx] = ix;
-          iys[idx] = iy;
-          gw.gxx += ix * ix;
-          gw.gxy += ix * iy;
-          gw.gyy += iy * iy;
-        }
-      }
+    for (std::size_t idx = 0; idx < window_pixels; ++idx) {
+      const float ix = s.ixs[idx];
+      const float iy = s.iys[idx];
+      gw.gxx += ix * ix;
+      gw.gxy += ix * iy;
+      gw.gyy += iy * iy;
     }
     const float tr = 0.5f * (gw.gxx + gw.gyy);
     const float det = gw.gxx * gw.gyy - gw.gxy * gw.gxy;
@@ -116,36 +157,33 @@ void track_point(const ImagePyramid& prev, const ImagePyramid& next, int levels,
     // Iterative Newton refinement of the flow at this level.
     geometry::Point2f nu{0.0f, 0.0f};
     for (int iter = 0; iter < params.max_iterations; ++iter) {
+      const float base_x = p.x + g.x + nu.x;
+      const float base_y = p.y + g.y + nu.y;
+      if (!tap_source(J, base_x, base_y, r + 1, s.tile, src)) {
+        ok = false;
+        break;
+      }
+      ops.lk_sample_patch(src.pix, src.stride, src.ox, src.oy, base_x, base_y,
+                          r, s.jvals);
       float bx = 0.0f;
       float by = 0.0f;
       residual = 0.0f;
-      const float base_x = p.x + g.x + nu.x;
-      const float base_y = p.y + g.y + nu.y;
-      idx = 0;
-      if (window_interior(base_x, base_y, static_cast<float>(r + 1), jw, jh)) {
-        ops.lk_sample_patch(jpix, jw, base_x, base_y, r, jvals);
-        for (idx = 0; idx < window_pixels; ++idx) {
-          const float diff = ivals[idx] - jvals[idx];
-          bx += diff * ixs[idx];
-          by += diff * iys[idx];
-          residual += std::abs(diff);
-        }
-      } else {
-        for (int wy = -r; wy <= r; ++wy) {
-          for (int wx = -r; wx <= r; ++wx, ++idx) {
-            const float jx = p.x + g.x + nu.x + static_cast<float>(wx);
-            const float jy = p.y + g.y + nu.y + static_cast<float>(wy);
-            const float diff = ivals[idx] - sample_bilinear(J, jx, jy);
-            bx += diff * ixs[idx];
-            by += diff * iys[idx];
-            residual += std::abs(diff);
-          }
-        }
+      for (std::size_t idx = 0; idx < window_pixels; ++idx) {
+        const float diff = s.ivals[idx] - s.jvals[idx];
+        bx += diff * s.ixs[idx];
+        by += diff * s.iys[idx];
+        residual += std::abs(diff);
       }
       const float vx = (gw.gyy * bx - gw.gxy * by) / det;
       const float vy = (gw.gxx * by - gw.gxy * bx) / det;
       nu += {vx, vy};
       if (std::sqrt(vx * vx + vy * vy) < params.epsilon) break;
+    }
+    // A diverged last update is dropped with the rest of this level, so the
+    // point keeps its last finite estimate.
+    if (!ok || !in_coordinate_range(p.x + g.x + nu.x, p.y + g.y + nu.y)) {
+      ok = false;
+      break;
     }
 
     if (level > 0) {
@@ -167,8 +205,8 @@ void track_point(const ImagePyramid& prev, const ImagePyramid& next, int levels,
 
 using TrackPointFn = void (*)(const ImagePyramid&, const ImagePyramid&, int,
                               const LucasKanadeParams&, const simd::SimdOps&,
-                              const geometry::Point2f&, float*, float*, float*,
-                              float*, geometry::Point2f&, FlowStatus&);
+                              const geometry::Point2f&, const LkScratch&,
+                              geometry::Point2f&, FlowStatus&);
 
 TrackPointFn select_track_fn(int radius) {
   switch (radius) {
@@ -200,22 +238,24 @@ void calc_optical_flow_pyr_lk(const ImagePyramid& prev, const ImagePyramid& next
   const int levels = std::min(prev.levels(), next.levels());
   const std::size_t window_count = static_cast<std::size_t>(
       (2 * params.window_radius + 1) * (2 * params.window_radius + 1));
+  const std::size_t tile_count = static_cast<std::size_t>(
+      (2 * params.window_radius + 7) * (2 * params.window_radius + 7));
   const TrackPointFn track = select_track_fn(params.window_radius);
   const simd::SimdOps& ops = simd::ops_for(kernels);
 
   parallel_points(static_cast<int>(points.size()), kernels, [&](int i0, int i1) {
-    // Per-thread gradient caches, reused across every point and level in
-    // the chunk — the hot loop never touches the heap. 32-byte aligned so
-    // the AVX2 samplers store full vectors.
+    // Per-thread window caches and border tile, reused across every point
+    // and level in the chunk — the hot loop never touches the heap.
     util::ScratchArena& arena = util::ScratchArena::thread_local_arena();
     util::ScratchArena::Scope scope(arena);
-    float* ivals = arena.alloc_aligned<float>(window_count, 32);
-    float* ixs = arena.alloc_aligned<float>(window_count, 32);
-    float* iys = arena.alloc_aligned<float>(window_count, 32);
-    float* jvals = arena.alloc_aligned<float>(window_count, 32);
+    const LkScratch scratch{arena.alloc_aligned<float>(window_count, 32),
+                            arena.alloc_aligned<float>(window_count, 32),
+                            arena.alloc_aligned<float>(window_count, 32),
+                            arena.alloc_aligned<float>(window_count, 32),
+                            arena.alloc_aligned<float>(tile_count, 32)};
     for (int i = i0; i < i1; ++i) {
       track(prev, next, levels, params, ops, points[static_cast<std::size_t>(i)],
-            ivals, ixs, iys, jvals, out_points[static_cast<std::size_t>(i)],
+            scratch, out_points[static_cast<std::size_t>(i)],
             out_status[static_cast<std::size_t>(i)]);
     }
   });

@@ -26,16 +26,23 @@ struct FlowStatus {
 /// Tracks `points` (given in full-resolution coordinates of `prev`) into
 /// the `next` image using iterative pyramidal Lucas-Kanade.
 ///
-/// Writes one output position and one status per input point. Points whose
-/// window drifts outside the image, or whose spatial-gradient matrix is
-/// ill-conditioned (textureless window), are flagged `tracked == false`;
-/// their output position is the best estimate reached before failure.
+/// Writes one output position and one status per input point. Samples
+/// are bilinear with a replicate border, so windows may overlap or leave
+/// the frame. A point is flagged `tracked == false` when its
+/// spatial-gradient matrix is ill-conditioned (textureless window), when
+/// its final position lies outside `next`, or when an estimate is NaN,
+/// infinite or beyond ±2^20 px; its output position is then the last
+/// finite estimate reached before the failure (a non-finite input point
+/// comes back unchanged).
 ///
-/// Points are independent, so the work is split across the shared kernel
-/// pool per `kernels`; every thread count (including the serial
-/// `num_threads == 1` path) produces bit-identical results. Per-thread
-/// gradient caches come from the thread's ScratchArena — the level loop
-/// performs no heap allocation.
+/// Every window, interior or border, samples through the dispatched SIMD
+/// tier: border windows read a small replicate-border tile copied from the
+/// level, so results are bit-identical to per-tap clamped sampling on
+/// every tier. Points are independent, so the work is split across the
+/// shared kernel pool per `kernels`; every thread count (including the
+/// serial `num_threads == 1` path) produces bit-identical results.
+/// Per-thread window caches and tiles come from the thread's ScratchArena
+/// — the level loop performs no heap allocation.
 void calc_optical_flow_pyr_lk(const ImagePyramid& prev, const ImagePyramid& next,
                               const std::vector<geometry::Point2f>& points,
                               std::vector<geometry::Point2f>& out_points,

@@ -14,6 +14,9 @@ namespace adavp::vision::simd {
 /// in the same order, one SIMD lane per element, with loop-carried
 /// reductions left to the (scalar) caller. Border columns/rows and
 /// sub-vector tails run the shared reference loops in `kernels_ref.h`.
+/// The two LK samplers are the exception: they read from an explicit
+/// block (the level, or a replicate-border tile of it), so LK's border
+/// windows run them too.
 struct SimdOps {
   Isa isa;
 
@@ -49,18 +52,24 @@ struct SimdOps {
   void (*min_eig_row)(const float* gxp, const float* gyp, int w, int y,
                       int radius, float* dst, int x0, int x1);
 
-  /// LK structure-tensor sampling (interior windows only): fills the
-  /// (2r+1)^2 arrays with the bilinear value and central-difference
-  /// gradients of `pix` at (px + wx, py + wy), wy/wx in [-r, r] raster
-  /// order. The gxx/gxy/gyy reduction stays with the caller so its
-  /// accumulation order is untouched.
-  void (*lk_sample_window)(const float* pix, int w, float px, float py, int r,
-                           float* ivals, float* ixs, float* iys);
+  /// LK structure-tensor sampling: fills the (2r+1)^2 arrays with the
+  /// bilinear value and central-difference gradients at (px + wx, py + wy),
+  /// wy/wx in [-r, r] raster order. `pix` is a row-major block of row
+  /// stride `w` whose first pixel is (ox, oy) — the pyramid level itself
+  /// (origin 0, 0) for an interior window, or a replicate-border tile for
+  /// a border window — and must hold every tap's 2x2 bilinear footprint.
+  /// Coordinates are absolute and may be negative (integer part by floor).
+  /// The gxx/gxy/gyy reduction stays with the caller so its accumulation
+  /// order is untouched.
+  void (*lk_sample_window)(const float* pix, int w, int ox, int oy, float px,
+                           float py, int r, float* ivals, float* ixs,
+                           float* iys);
 
-  /// LK iteration sampling (interior windows only): fills jvals with the
-  /// bilinear value of `pix` at (base_x + wx, base_y + wy), raster order.
-  void (*lk_sample_patch)(const float* pix, int w, float base_x, float base_y,
-                          int r, float* jvals);
+  /// LK iteration sampling: fills jvals with the bilinear value at
+  /// (base_x + wx, base_y + wy), raster order. Same block contract as
+  /// `lk_sample_window`.
+  void (*lk_sample_patch)(const float* pix, int w, int ox, int oy,
+                          float base_x, float base_y, int r, float* jvals);
 };
 
 /// Tables provided by the per-ISA translation units. `sse2_ops` /

@@ -173,17 +173,20 @@ inline __m256 bilerp8(__m256 p00, __m256 p10, __m256 p01, __m256 p11,
       top, _mm256_mul_ps(_mm256_set1_ps(fy), _mm256_sub_ps(bot, top)));
 }
 
-/// Bilinear sample of up to 8 x-positions sharing one y coordinate.
-/// Mirrors ref::bilinear_unchecked per lane: truncation == floor because
-/// interior coordinates are non-negative, and the lerp operand order is
+/// Bilinear sample of up to 8 absolute x-positions sharing one y, read
+/// from the block `pix` (row stride `w`, first pixel (ox, oy)). Mirrors
+/// ref::bilinear_unchecked per lane: the integer part is the floor (so
+/// negative tile coordinates work), fx subtracts the converted integer
+/// exactly as the reference does, and the lerp operand order is
 /// identical. `mask` lanes that are off never gather (no memory access).
-inline __m256 bilinear8(const float* pix, int w, __m256 xv, float y,
-                        __m256 mask) {
-  const __m256i x0i = _mm256_cvttps_epi32(xv);
-  const int y0 = static_cast<int>(y);
+inline __m256 bilinear8(const float* pix, int w, int ox, int oy, __m256 xv,
+                        float y, __m256 mask) {
+  const __m256i x0i = _mm256_cvtps_epi32(_mm256_floor_ps(xv));
+  const int y0 = ref::floor_to_int(y);
   const __m256 fx = _mm256_sub_ps(xv, _mm256_cvtepi32_ps(x0i));
   const float fy = y - static_cast<float>(y0);
-  const __m256i base = _mm256_add_epi32(x0i, _mm256_set1_epi32(y0 * w));
+  const __m256i base =
+      _mm256_add_epi32(x0i, _mm256_set1_epi32((y0 - oy) * w - ox));
   const __m256i one = _mm256_set1_epi32(1);
   const __m256i vw = _mm256_set1_epi32(w);
   const __m256 zero = _mm256_setzero_ps();
@@ -198,28 +201,30 @@ inline __m256 bilinear8(const float* pix, int w, __m256 xv, float y,
 }
 
 /// Full-group (8 live lanes) bilinear sample. The lanes' x coordinates are
-/// px plus eight consecutive integers, so after truncation the fetch
+/// px plus eight consecutive integers, so after the floor the fetch
 /// columns are *usually* x0, x0+1, ..., x0+7 — four unaligned loads
 /// instead of four (slow) gathers. "Usually" because float rounding of
-/// px + k near an integer boundary can make adjacent lanes truncate
+/// px + k near an integer boundary can make adjacent lanes floor
 /// non-consecutively; the cmpeq check catches that and falls back to the
 /// gather path, keeping the fetched addresses — and therefore the bits —
 /// exactly what the scalar reference touches. fx/fy come from the same
 /// per-lane arithmetic on either path.
-inline __m256 bilinear8_full(const float* pix, int w, __m256 xv, float y) {
-  const __m256i x0i = _mm256_cvttps_epi32(xv);
+inline __m256 bilinear8_full(const float* pix, int w, int ox, int oy,
+                             __m256 xv, float y) {
+  const __m256i x0i = _mm256_cvtps_epi32(_mm256_floor_ps(xv));
   const __m256i lane = lane_index();
   const int first = _mm_cvtsi128_si32(_mm256_castsi256_si128(x0i));
   const __m256i consec =
       _mm256_cmpeq_epi32(x0i, _mm256_add_epi32(_mm256_set1_epi32(first), lane));
   if (_mm256_movemask_ps(_mm256_castsi256_ps(consec)) != 0xFF) {
-    return bilinear8(pix, w, xv, y,
+    return bilinear8(pix, w, ox, oy, xv, y,
                      _mm256_castsi256_ps(_mm256_set1_epi32(-1)));
   }
-  const int y0 = static_cast<int>(y);
+  const int y0 = ref::floor_to_int(y);
   const __m256 fx = _mm256_sub_ps(xv, _mm256_cvtepi32_ps(x0i));
   const float fy = y - static_cast<float>(y0);
-  const float* base = pix + static_cast<std::ptrdiff_t>(y0) * w + first;
+  const float* base =
+      pix + static_cast<std::ptrdiff_t>(y0 - oy) * w + (first - ox);
   const __m256 p00 = _mm256_loadu_ps(base);
   const __m256 p10 = _mm256_loadu_ps(base + 1);
   const __m256 p01 = _mm256_loadu_ps(base + w);
@@ -227,8 +232,9 @@ inline __m256 bilinear8_full(const float* pix, int w, __m256 xv, float y) {
   return bilerp8(p00, p10, p01, p11, fx, fy);
 }
 
-void lk_sample_window_avx2(const float* pix, int w, float px, float py, int r,
-                           float* ivals, float* ixs, float* iys) {
+void lk_sample_window_avx2(const float* pix, int w, int ox, int oy, float px,
+                           float py, int r, float* ivals, float* ixs,
+                           float* iys) {
   const __m256 one = _mm256_set1_ps(1.0f);
   const __m256 half = _mm256_set1_ps(0.5f);
   const __m256i lane = lane_index();
@@ -243,15 +249,16 @@ void lk_sample_window_avx2(const float* pix, int w, float px, float py, int r,
           _mm256_set1_ps(px),
           _mm256_cvtepi32_ps(_mm256_add_epi32(_mm256_set1_epi32(wx), lane)));
       if (live >= 8) {
-        const __m256 v = bilinear8_full(pix, w, xv, sy);
+        const __m256 v = bilinear8_full(pix, w, ox, oy, xv, sy);
         const __m256 ix = _mm256_mul_ps(
-            _mm256_sub_ps(bilinear8_full(pix, w, _mm256_add_ps(xv, one), sy),
-                          bilinear8_full(pix, w, _mm256_sub_ps(xv, one), sy)),
+            _mm256_sub_ps(
+                bilinear8_full(pix, w, ox, oy, _mm256_add_ps(xv, one), sy),
+                bilinear8_full(pix, w, ox, oy, _mm256_sub_ps(xv, one), sy)),
             half);
-        const __m256 iy =
-            _mm256_mul_ps(_mm256_sub_ps(bilinear8_full(pix, w, xv, sy + 1.0f),
-                                        bilinear8_full(pix, w, xv, sy - 1.0f)),
-                          half);
+        const __m256 iy = _mm256_mul_ps(
+            _mm256_sub_ps(bilinear8_full(pix, w, ox, oy, xv, sy + 1.0f),
+                          bilinear8_full(pix, w, ox, oy, xv, sy - 1.0f)),
+            half);
         _mm256_storeu_ps(ivals + idx, v);
         _mm256_storeu_ps(ixs + idx, ix);
         _mm256_storeu_ps(iys + idx, iy);
@@ -260,14 +267,15 @@ void lk_sample_window_avx2(const float* pix, int w, float px, float py, int r,
       const __m256i maski =
           _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lane);
       const __m256 mask = _mm256_castsi256_ps(maski);
-      const __m256 v = bilinear8(pix, w, xv, sy, mask);
+      const __m256 v = bilinear8(pix, w, ox, oy, xv, sy, mask);
       const __m256 ix = _mm256_mul_ps(
-          _mm256_sub_ps(bilinear8(pix, w, _mm256_add_ps(xv, one), sy, mask),
-                        bilinear8(pix, w, _mm256_sub_ps(xv, one), sy, mask)),
+          _mm256_sub_ps(
+              bilinear8(pix, w, ox, oy, _mm256_add_ps(xv, one), sy, mask),
+              bilinear8(pix, w, ox, oy, _mm256_sub_ps(xv, one), sy, mask)),
           half);
       const __m256 iy = _mm256_mul_ps(
-          _mm256_sub_ps(bilinear8(pix, w, xv, sy + 1.0f, mask),
-                        bilinear8(pix, w, xv, sy - 1.0f, mask)),
+          _mm256_sub_ps(bilinear8(pix, w, ox, oy, xv, sy + 1.0f, mask),
+                        bilinear8(pix, w, ox, oy, xv, sy - 1.0f, mask)),
           half);
       _mm256_maskstore_ps(ivals + idx, maski, v);
       _mm256_maskstore_ps(ixs + idx, maski, ix);
@@ -277,8 +285,8 @@ void lk_sample_window_avx2(const float* pix, int w, float px, float py, int r,
   }
 }
 
-void lk_sample_patch_avx2(const float* pix, int w, float base_x, float base_y,
-                          int r, float* jvals) {
+void lk_sample_patch_avx2(const float* pix, int w, int ox, int oy,
+                          float base_x, float base_y, int r, float* jvals) {
   const __m256i lane = lane_index();
   std::size_t idx = 0;
   for (int wy = -r; wy <= r; ++wy) {
@@ -289,13 +297,13 @@ void lk_sample_patch_avx2(const float* pix, int w, float base_x, float base_y,
           _mm256_set1_ps(base_x),
           _mm256_cvtepi32_ps(_mm256_add_epi32(_mm256_set1_epi32(wx), lane)));
       if (live >= 8) {
-        _mm256_storeu_ps(jvals + idx, bilinear8_full(pix, w, xv, jy));
+        _mm256_storeu_ps(jvals + idx, bilinear8_full(pix, w, ox, oy, xv, jy));
         continue;
       }
       const __m256i maski =
           _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lane);
       const __m256 v =
-          bilinear8(pix, w, xv, jy, _mm256_castsi256_ps(maski));
+          bilinear8(pix, w, ox, oy, xv, jy, _mm256_castsi256_ps(maski));
       _mm256_maskstore_ps(jvals + idx, maski, v);
       idx -= 8 - static_cast<std::size_t>(live);
     }

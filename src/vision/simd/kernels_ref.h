@@ -95,16 +95,28 @@ inline void min_eig_row(const float* gxp, const float* gyp, int w, int y,
   }
 }
 
-/// Bilinear sample with no clamping. Precondition: 0 <= x < w-1 and
-/// 0 <= y < h-1, so all four taps are in bounds and truncation equals
-/// floor. Operand order matches `sample_bilinear` exactly => identical
-/// floats on interior coordinates.
-inline float bilinear_unchecked(const float* pix, int w, float x, float y) {
-  const int x0 = static_cast<int>(x);
-  const int y0 = static_cast<int>(y);
+/// floor(v) as an int, by integer truncation and one correction: exact
+/// for |v| < 2^31 (the LK callers keep coordinates within ±2^20) and with
+/// no libm call.
+inline int floor_to_int(float v) {
+  const int t = static_cast<int>(v);
+  return t - (static_cast<float>(t) > v ? 1 : 0);
+}
+
+/// Bilinear sample of the absolute position (x, y) from `pix`, a row-major
+/// block of row stride `w` whose first pixel is (ox, oy): the whole image
+/// with origin (0, 0), or a replicate-border tile of it. No clamping — the
+/// block must hold columns floor(x)-ox .. floor(x)-ox+1 and the matching
+/// rows. fx/fy come from the absolute floor and the operand order matches
+/// `sample_bilinear`, so the floats are identical whenever the block holds
+/// the pixels `sample_bilinear` would have read.
+inline float bilinear_unchecked(const float* pix, int w, int ox, int oy,
+                                float x, float y) {
+  const int x0 = floor_to_int(x);
+  const int y0 = floor_to_int(y);
   const float fx = x - static_cast<float>(x0);
   const float fy = y - static_cast<float>(y0);
-  const float* p = pix + static_cast<std::size_t>(y0) * w + x0;
+  const float* p = pix + static_cast<std::ptrdiff_t>(y0 - oy) * w + (x0 - ox);
   const float p00 = p[0];
   const float p10 = p[1];
   const float p01 = p[w];
@@ -114,16 +126,17 @@ inline float bilinear_unchecked(const float* pix, int w, float x, float y) {
   return top + fy * (bot - top);
 }
 
-inline void gradient_unchecked(const float* pix, int w, float x, float y,
-                               float& dx, float& dy) {
-  dx = (bilinear_unchecked(pix, w, x + 1.0f, y) -
-        bilinear_unchecked(pix, w, x - 1.0f, y)) * 0.5f;
-  dy = (bilinear_unchecked(pix, w, x, y + 1.0f) -
-        bilinear_unchecked(pix, w, x, y - 1.0f)) * 0.5f;
+inline void gradient_unchecked(const float* pix, int w, int ox, int oy, float x,
+                               float y, float& dx, float& dy) {
+  dx = (bilinear_unchecked(pix, w, ox, oy, x + 1.0f, y) -
+        bilinear_unchecked(pix, w, ox, oy, x - 1.0f, y)) * 0.5f;
+  dy = (bilinear_unchecked(pix, w, ox, oy, x, y + 1.0f) -
+        bilinear_unchecked(pix, w, ox, oy, x, y - 1.0f)) * 0.5f;
 }
 
-inline void lk_sample_window(const float* pix, int w, float px, float py, int r,
-                             float* ivals, float* ixs, float* iys) {
+inline void lk_sample_window(const float* pix, int w, int ox, int oy, float px,
+                             float py, int r, float* ivals, float* ixs,
+                             float* iys) {
   std::size_t idx = 0;
   for (int wy = -r; wy <= r; ++wy) {
     for (int wx = -r; wx <= r; ++wx, ++idx) {
@@ -131,22 +144,22 @@ inline void lk_sample_window(const float* pix, int w, float px, float py, int r,
       const float sy = py + static_cast<float>(wy);
       float ix = 0.0f;
       float iy = 0.0f;
-      gradient_unchecked(pix, w, sx, sy, ix, iy);
-      ivals[idx] = bilinear_unchecked(pix, w, sx, sy);
+      gradient_unchecked(pix, w, ox, oy, sx, sy, ix, iy);
+      ivals[idx] = bilinear_unchecked(pix, w, ox, oy, sx, sy);
       ixs[idx] = ix;
       iys[idx] = iy;
     }
   }
 }
 
-inline void lk_sample_patch(const float* pix, int w, float base_x, float base_y,
-                            int r, float* jvals) {
+inline void lk_sample_patch(const float* pix, int w, int ox, int oy,
+                            float base_x, float base_y, int r, float* jvals) {
   std::size_t idx = 0;
   for (int wy = -r; wy <= r; ++wy) {
     for (int wx = -r; wx <= r; ++wx, ++idx) {
       const float jx = base_x + static_cast<float>(wx);
       const float jy = base_y + static_cast<float>(wy);
-      jvals[idx] = bilinear_unchecked(pix, w, jx, jy);
+      jvals[idx] = bilinear_unchecked(pix, w, ox, oy, jx, jy);
     }
   }
 }

@@ -257,8 +257,9 @@ TEST(KernelIsaMatrix, OpticalFlowMatchesScalarBitForBit) {
     }
   }
   // Interior grid plus window positions that straddle or cross the image
-  // border — those take the clamped path on every tier, the rest exercise
-  // the gathered samplers.
+  // border — those sample replicate-border tiles, the rest read the level
+  // in place; both go through each tier's samplers. (The scalar tier
+  // shares the tiles, so test_vision_flow's clamped oracle pins them.)
   std::vector<geometry::Point2f> pts;
   for (int i = 0; i < 24; ++i) {
     pts.push_back({12.0f + static_cast<float>(i % 6) * 26.0f,
