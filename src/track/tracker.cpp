@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/telemetry.h"
+#include "vision/image_ops.h"
 
 namespace adavp::track {
 
@@ -17,11 +18,21 @@ void ObjectTracker::set_reference(const vision::ImageU8& frame,
   features_.clear();
   alive_.clear();
 
+  // The reference pyramid's level 0 is the frame as float, so the corner
+  // scores read it instead of converting the frame a second time (only a
+  // pyramid-less config, pyramid_levels <= 0, converts it here).
+  adopt_reference_pyramid(frame);
+  const vision::ImageF32 converted = prev_pyramid_.empty()
+                                         ? vision::to_float(frame, params_.kernels)
+                                         : vision::ImageF32{};
+  const vision::ImageF32& level0 =
+      prev_pyramid_.empty() ? converted : prev_pyramid_.level(0);
+  frame_size_ = frame.size();
+
   std::vector<geometry::BoundingBox> boxes;
   boxes.reserve(detections.size());
   for (const auto& det : detections) boxes.push_back(det.box);
-  const vision::ImageU8 mask =
-      vision::boxes_mask(frame.size(), boxes, params_.mask_shrink);
+  vision::boxes_spans(frame.size(), boxes, params_.mask_shrink, mask_spans_);
 
   vision::GoodFeaturesParams gf;
   gf.max_corners = params_.max_features;
@@ -29,7 +40,7 @@ void ObjectTracker::set_reference(const vision::ImageU8& frame,
   gf.min_distance = params_.min_feature_distance;
   gf.kernels = params_.kernels;
   const std::vector<geometry::Point2f> corners =
-      vision::good_features_to_track(frame, gf, &mask);
+      vision::good_features_to_track(level0, gf, mask_spans_);
 
   objects_.reserve(detections.size());
   for (const auto& det : detections) {
@@ -69,9 +80,6 @@ void ObjectTracker::set_reference(const vision::ImageU8& frame,
   for (auto& obj : objects_) {
     if (obj.features.empty()) obj.lost = true;
   }
-
-  adopt_reference_pyramid(frame);
-  frame_size_ = frame.size();
 
   if (obs::Telemetry::enabled()) {
     obs::MetricsRegistry& reg = obs::metrics();

@@ -97,6 +97,7 @@ class ObjectTracker : public TrackerInterface {
   std::vector<bool> alive_;
   vision::ImagePyramid prev_pyramid_;
   vision::ImageU8 prev_frame_;   // frame prev_pyramid_ was built from
+  std::vector<vision::RowSpan> mask_spans_;  // box mask of the last reference
   geometry::Size frame_size_{};  // of the last processed frame
 };
 

@@ -17,7 +17,8 @@ struct GoodFeaturesParams {
   double quality_level = 0.01;  ///< accept score >= quality * best score
   double min_distance = 7.0;    ///< minimum spacing between kept corners
   int block_size = 3;           ///< structure-tensor window radius-ish (3 => 3x3)
-  KernelConfig kernels;         ///< parallelism of the score-map kernels
+  KernelConfig kernels;         ///< ISA tier of the score kernels; threads
+                                ///< split only full-frame passes (see below)
 };
 
 /// Shi-Tomasi corner response: the smaller eigenvalue of the 2x2 structure
@@ -25,6 +26,13 @@ struct GoodFeaturesParams {
 /// for reuse by the feature extractor.
 ImageF32 min_eigenvalue_map(const ImageF32& img, int block_size,
                             const KernelConfig& config = {});
+
+/// One run of candidate pixels: row `y`, columns [x0, x1).
+struct RowSpan {
+  int y = 0;
+  int x0 = 0;
+  int x1 = 0;
+};
 
 /// Detects good features to track in `img`.
 ///
@@ -36,6 +44,29 @@ ImageF32 min_eigenvalue_map(const ImageF32& img, int block_size,
 std::vector<geometry::Point2f> good_features_to_track(
     const ImageU8& img, const GoodFeaturesParams& params,
     const ImageU8* mask = nullptr);
+
+/// The same detector on a float image (level 0 of a pyramid holds exactly
+/// `to_float` of the frame) whose candidate pixels are `spans`: inside the
+/// image, sorted by (y, x0) and disjoint, as `boxes_spans` writes them.
+///
+/// Sobel, scores, the best-score scan and the 3x3 local-maximum test run
+/// only on the spans plus the pixels their windows reach (a one-pixel
+/// ring for the maximum test, the block radius beyond that for the
+/// structure tensor). They run on the calling thread in bands of 32 rows
+/// whose scratch is carved from the thread's ScratchArena, so the scratch
+/// stays a few rows of the region's width however large the boxes are.
+/// Each pixel keeps the full-map formula and the same interior/clamped
+/// split by image position, and candidates are collected in raster order,
+/// so the corner list is bit-identical to scoring the whole frame.
+std::vector<geometry::Point2f> good_features_to_track(
+    const ImageF32& img, const GoodFeaturesParams& params,
+    const std::vector<RowSpan>& spans);
+
+/// Replaces `out` with the spans of `boxes_mask(size, boxes, shrink)`,
+/// without building the mask.
+void boxes_spans(const geometry::Size& size,
+                 const std::vector<geometry::BoundingBox>& boxes, float shrink,
+                 std::vector<RowSpan>& out);
 
 /// Builds a mask image that is non-zero exactly inside the given boxes
 /// (clamped to the image bounds). `shrink` optionally insets each box by a

@@ -142,21 +142,17 @@ ImageF32 smooth5(const ImageF32& img, const KernelConfig& config) {
   return separable(img, kKernel, 2, 16.0f, config);
 }
 
-void sobel(const ImageF32& img, ImageF32& grad_x, ImageF32& grad_y,
-           const KernelConfig& config) {
+void sobel_span(const ImageF32& img, int y, int x0, int x1, float* gx,
+                float* gy, const simd::SimdOps& ops) {
   const int w = img.width();
   const int h = img.height();
-  grad_x = ImageF32(w, h);
-  grad_y = ImageF32(w, h);
   const float* src = img.pixels().data();
-  float* gx = grad_x.pixels().data();
-  float* gy = grad_y.pixels().data();
 
-  auto clamped_pixel = [&](int x, int y) {
-    return src[static_cast<std::size_t>(std::clamp(y, 0, h - 1)) * w +
+  auto clamped_pixel = [&](int x, int yy) {
+    return src[static_cast<std::size_t>(std::clamp(yy, 0, h - 1)) * w +
                std::clamp(x, 0, w - 1)];
   };
-  auto border_pixel_pair = [&](int x, int y) {
+  auto border_pixel_pair = [&](int x) {
     const float tl = clamped_pixel(x - 1, y - 1);
     const float tc = clamped_pixel(x, y - 1);
     const float tr = clamped_pixel(x + 1, y - 1);
@@ -165,29 +161,42 @@ void sobel(const ImageF32& img, ImageF32& grad_x, ImageF32& grad_y,
     const float bl = clamped_pixel(x - 1, y + 1);
     const float bc = clamped_pixel(x, y + 1);
     const float br = clamped_pixel(x + 1, y + 1);
-    const std::size_t i = static_cast<std::size_t>(y) * w + x;
-    gx[i] = ((tr + 2.0f * mr + br) - (tl + 2.0f * ml + bl)) / 8.0f;
-    gy[i] = ((bl + 2.0f * bc + br) - (tl + 2.0f * tc + tr)) / 8.0f;
+    gx[x - x0] = ((tr + 2.0f * mr + br) - (tl + 2.0f * ml + bl)) / 8.0f;
+    gy[x - x0] = ((bl + 2.0f * bc + br) - (tl + 2.0f * tc + tr)) / 8.0f;
   };
 
+  if (y == 0 || y == h - 1 || w < 3) {
+    for (int x = x0; x < x1; ++x) border_pixel_pair(x);
+    return;
+  }
+  // Columns [lo, hi) are interior: three raw row pointers, no bounds
+  // checks, dispatched to the SIMD tier. Same per-element operand order as
+  // the clamped expression => identical floats.
+  const int lo = std::max(x0, 1);
+  const int hi = std::max(lo, std::min(x1, w - 1));
+  for (int x = x0; x < std::min(lo, x1); ++x) border_pixel_pair(x);
+  if (hi > lo) {
+    const std::size_t row = static_cast<std::size_t>(y) * w;
+    const float* rc = src + row + (lo - 1);
+    ops.sobel_row(rc - w, rc, rc + w, gx + (lo - x0) - 1, gy + (lo - x0) - 1,
+                  hi - lo + 2);
+  }
+  for (int x = hi; x < x1; ++x) border_pixel_pair(x);
+}
+
+void sobel(const ImageF32& img, ImageF32& grad_x, ImageF32& grad_y,
+           const KernelConfig& config) {
+  const int w = img.width();
+  const int h = img.height();
+  grad_x = ImageF32(w, h);
+  grad_y = ImageF32(w, h);
+  float* gx = grad_x.pixels().data();
+  float* gy = grad_y.pixels().data();
   const simd::SimdOps& ops = simd::ops_for(config);
   parallel_rows(h, config, [&](int y0, int y1) {
     for (int y = y0; y < y1; ++y) {
-      if (y == 0 || y == h - 1 || w < 3) {
-        for (int x = 0; x < w; ++x) border_pixel_pair(x, y);
-        continue;
-      }
-      border_pixel_pair(0, y);
-      // Interior: three raw row pointers, no bounds checks, dispatched to
-      // the SIMD tier. Same per-element operand order as the clamped
-      // expression => identical floats.
-      const float* rm = src + static_cast<std::size_t>(y - 1) * w;
-      const float* rc = src + static_cast<std::size_t>(y) * w;
-      const float* rp = src + static_cast<std::size_t>(y + 1) * w;
-      float* gxr = gx + static_cast<std::size_t>(y) * w;
-      float* gyr = gy + static_cast<std::size_t>(y) * w;
-      ops.sobel_row(rm, rc, rp, gxr, gyr, w);
-      border_pixel_pair(w - 1, y);
+      const std::size_t row = static_cast<std::size_t>(y) * w;
+      sobel_span(img, y, 0, w, gx + row, gy + row, ops);
     }
   });
 }

@@ -2,6 +2,7 @@
 
 #include "vision/image.h"
 #include "vision/kernel_config.h"
+#include "vision/simd/kernels.h"
 
 namespace adavp::vision {
 
@@ -26,6 +27,17 @@ ImageF32 smooth5(const ImageF32& img, const KernelConfig& config = {});
 /// scaled by 1/8 so that a unit intensity ramp has unit gradient.
 void sobel(const ImageF32& img, ImageF32& grad_x, ImageF32& grad_y,
            const KernelConfig& config = {});
+
+/// The `sobel` gradients of row `y`, columns [x0, x1) only: gx[i] and
+/// gy[i] receive column x0 + i. Columns and rows whose 3x3 window clamps
+/// take the replicate-border formula, the rest run `ops.sobel_row`, split
+/// by image position exactly as `sobel` splits them, so every value is
+/// bit-identical to the full-image result. When x0 >= 1, gx[-1] and
+/// gy[-1] must belong to the caller's buffers (the SIMD row kernel is
+/// addressed from the column left of its first output; it never writes
+/// there).
+void sobel_span(const ImageF32& img, int y, int x0, int x1, float* gx,
+                float* gy, const simd::SimdOps& ops);
 
 /// Downsamples by a factor of two (2x2 mean after 3x3 smoothing), as used
 /// when building optical-flow pyramids. Output dimensions are
