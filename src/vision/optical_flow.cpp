@@ -1,7 +1,9 @@
 #include "vision/optical_flow.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 
 #include "obs/telemetry.h"
 #include "util/scratch_arena.h"
@@ -21,15 +23,44 @@ struct GradientWindow {
 
 /// Per-thread workspace of one LK chunk, carved from the thread's
 /// ScratchArena and 32-byte aligned for the AVX2 samplers. The window
-/// arrays hold (2r+1)^2 floats; `tile` holds the (2r+7)^2 replicate-border
-/// copy a border window samples from.
+/// arrays hold (2r+1)^2 floats; `grid` holds the (2r+3)^2 taps a grid
+/// window samples once; `tile` holds the (2r+7)^2 replicate-border copy a
+/// border window samples from.
 struct LkScratch {
   float* ivals;
   float* ixs;
   float* iys;
   float* jvals;
+  float* grid;
   float* tile;
 };
+
+/// Structure-tensor windows of one chunk by sampling path, summed in the
+/// chunk and published once per call.
+struct LkWindowCounts {
+  std::uint64_t grid = 0;
+  std::uint64_t sampled = 0;
+};
+
+/// True when a + b is exact in float (TwoSum: the rounding error of the
+/// sum, computed error-free, is zero). Needs contraction off, as every
+/// vision TU builds.
+inline bool sum_is_exact(float a, float b) {
+  const float s = a + b;
+  const float bb = s - a;
+  return (a - (s - bb)) + (b - bb) == 0.0f;
+}
+
+/// True when v + k is exact for every integer k in [-n, n]. Checking the
+/// two extremes is enough for |v| <= 2^20 (every coordinate LK samples at)
+/// and small n: an integer v keeps every v + k an integer below 2^24, and
+/// a v whose lowest set bit has weight 2^q < 1 has v + k exact iff
+/// |v + k| < 2^(24+q), an interval that holds everything between two of
+/// its members.
+inline bool offsets_exact(float v, int n) {
+  const float k = static_cast<float>(n);
+  return sum_is_exact(v, k) && sum_is_exact(v, -k);
+}
 
 /// Largest |coordinate| (level pixels) LK samples at. Far beyond any real
 /// frame, small enough that every float coordinate and tile origin
@@ -103,16 +134,18 @@ bool tap_source(const ImageF32& img, float x, float y, int margin, float* tile,
 /// the default radius); `kRadius == -1` reads the radius from `params`.
 ///
 /// Every window samples through `ops` (value + gradient arrays filled one
-/// lane per pixel), reading the level in place or a replicate-border tile
-/// (`tap_source`), so all windows give the floats of the clamped
-/// per-pixel `sample_bilinear`. The gxx/gxy/gyy and bx/by/residual
+/// lane per pixel, or the shared tap grid when `offsets_exact` allows),
+/// reading the level in place or a replicate-border tile (`tap_source`),
+/// so all windows give the floats of the clamped per-pixel
+/// `sample_bilinear`. The gxx/gxy/gyy and bx/by/residual
 /// reductions below always run scalar in raster order, so the accumulated
 /// sums are bit-identical across every ISA tier (DESIGN.md §14).
 template <int kRadius>
 void track_point(const ImagePyramid& prev, const ImagePyramid& next, int levels,
                  const LucasKanadeParams& params, const simd::SimdOps& ops,
                  const geometry::Point2f& p0, const LkScratch& s,
-                 geometry::Point2f& out_point, FlowStatus& out_status) {
+                 LkWindowCounts& counts, geometry::Point2f& out_point,
+                 FlowStatus& out_status) {
   const int r = kRadius >= 0 ? kRadius : params.window_radius;
   const float window_count = static_cast<float>((2 * r + 1) * (2 * r + 1));
   const std::size_t window_pixels = static_cast<std::size_t>((2 * r + 1)) *
@@ -135,8 +168,30 @@ void track_point(const ImagePyramid& prev, const ImagePyramid& next, int levels,
       ok = false;
       break;
     }
-    ops.lk_sample_window(src.pix, src.stride, src.ox, src.oy, p.x, p.y, r,
-                         s.ivals, s.ixs, s.iys);
+    if (offsets_exact(p.x, r + 1) && offsets_exact(p.y, r + 1)) {
+      // Every p + k is exact, so the gradient taps p + k ± 1 are grid
+      // taps too: sample the (2r+3)^2 grid once and take values and
+      // central differences from it (same coordinates, same floats).
+      const int n = 2 * r + 3;
+      ops.lk_sample_patch(src.pix, src.stride, src.ox, src.oy, p.x, p.y, r + 1,
+                          s.grid);
+      std::size_t idx = 0;
+      for (int j = 1; j < n - 1; ++j) {
+        const float* up = s.grid + static_cast<std::size_t>(j - 1) * n;
+        const float* row = up + n;
+        const float* down = row + n;
+        for (int i = 1; i < n - 1; ++i, ++idx) {
+          s.ivals[idx] = row[i];
+          s.ixs[idx] = (row[i + 1] - row[i - 1]) * 0.5f;
+          s.iys[idx] = (down[i] - up[i]) * 0.5f;
+        }
+      }
+      ++counts.grid;
+    } else {
+      ops.lk_sample_window(src.pix, src.stride, src.ox, src.oy, p.x, p.y, r,
+                           s.ivals, s.ixs, s.iys);
+      ++counts.sampled;
+    }
     GradientWindow gw;
     for (std::size_t idx = 0; idx < window_pixels; ++idx) {
       const float ix = s.ixs[idx];
@@ -206,7 +261,7 @@ void track_point(const ImagePyramid& prev, const ImagePyramid& next, int levels,
 using TrackPointFn = void (*)(const ImagePyramid&, const ImagePyramid&, int,
                               const LucasKanadeParams&, const simd::SimdOps&,
                               const geometry::Point2f&, const LkScratch&,
-                              geometry::Point2f&, FlowStatus&);
+                              LkWindowCounts&, geometry::Point2f&, FlowStatus&);
 
 TrackPointFn select_track_fn(int radius) {
   switch (radius) {
@@ -238,27 +293,41 @@ void calc_optical_flow_pyr_lk(const ImagePyramid& prev, const ImagePyramid& next
   const int levels = std::min(prev.levels(), next.levels());
   const std::size_t window_count = static_cast<std::size_t>(
       (2 * params.window_radius + 1) * (2 * params.window_radius + 1));
+  const std::size_t grid_count = static_cast<std::size_t>(
+      (2 * params.window_radius + 3) * (2 * params.window_radius + 3));
   const std::size_t tile_count = static_cast<std::size_t>(
       (2 * params.window_radius + 7) * (2 * params.window_radius + 7));
   const TrackPointFn track = select_track_fn(params.window_radius);
   const simd::SimdOps& ops = simd::ops_for(kernels);
+  std::atomic<std::uint64_t> grid_windows{0};
+  std::atomic<std::uint64_t> sampled_windows{0};
 
   parallel_points(static_cast<int>(points.size()), kernels, [&](int i0, int i1) {
-    // Per-thread window caches and border tile, reused across every point
-    // and level in the chunk — the hot loop never touches the heap.
+    // Per-thread window caches, tap grid and border tile, reused across
+    // every point and level in the chunk — the hot loop never touches the
+    // heap.
     util::ScratchArena& arena = util::ScratchArena::thread_local_arena();
     util::ScratchArena::Scope scope(arena);
     const LkScratch scratch{arena.alloc_aligned<float>(window_count, 32),
                             arena.alloc_aligned<float>(window_count, 32),
                             arena.alloc_aligned<float>(window_count, 32),
                             arena.alloc_aligned<float>(window_count, 32),
+                            arena.alloc_aligned<float>(grid_count, 32),
                             arena.alloc_aligned<float>(tile_count, 32)};
+    LkWindowCounts counts;
     for (int i = i0; i < i1; ++i) {
       track(prev, next, levels, params, ops, points[static_cast<std::size_t>(i)],
-            scratch, out_points[static_cast<std::size_t>(i)],
+            scratch, counts, out_points[static_cast<std::size_t>(i)],
             out_status[static_cast<std::size_t>(i)]);
     }
+    grid_windows.fetch_add(counts.grid, std::memory_order_relaxed);
+    sampled_windows.fetch_add(counts.sampled, std::memory_order_relaxed);
   });
+  if (obs::Telemetry::enabled()) {
+    obs::MetricsRegistry& reg = obs::metrics();
+    reg.counter("lk", "grid_windows").add(grid_windows.load());
+    reg.counter("lk", "sampled_windows").add(sampled_windows.load());
+  }
   publish_pool_metrics();
 }
 

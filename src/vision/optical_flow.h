@@ -38,7 +38,11 @@ struct FlowStatus {
 /// Every window, interior or border, samples through the dispatched SIMD
 /// tier: border windows read a small replicate-border tile copied from the
 /// level, so results are bit-identical to per-tap clamped sampling on
-/// every tier. Points are independent, so the work is split across the
+/// every tier. A structure-tensor window whose offsets p ± (r+1) are exact
+/// float sums on both axes samples its (2r+3)^2 tap grid once and takes
+/// values and central differences from it; those are the same
+/// coordinates, so the same floats (counters `lk.grid_windows` /
+/// `lk.sampled_windows`, published once per call). Points are independent, so the work is split across the
 /// shared kernel pool per `kernels`; every thread count (including the
 /// serial `num_threads == 1` path) produces bit-identical results.
 /// Per-thread window caches and tiles come from the thread's ScratchArena

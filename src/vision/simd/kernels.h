@@ -67,7 +67,8 @@ struct SimdOps {
 
   /// LK iteration sampling: fills jvals with the bilinear value at
   /// (base_x + wx, base_y + wy), raster order. Same block contract as
-  /// `lk_sample_window`.
+  /// `lk_sample_window`. With radius r + 1 it also fills the structure
+  /// tensor's shared tap grid (optical_flow.cpp).
   void (*lk_sample_patch)(const float* pix, int w, int ox, int oy,
                           float base_x, float base_y, int r, float* jvals);
 };

@@ -4,9 +4,10 @@
 // (kernels_ref.h), and all loop-carried reductions (LK's gxx/bx/residual
 // accumulations) stay with the scalar caller, so every result is
 // bit-identical to the reference — see DESIGN.md §14 for the
-// lane-reduction rules. Sub-vector window tails use masked gathers and
-// masked stores rather than scalar cleanup: masked-off lanes never touch
-// memory, and live lanes compute the same floats either way.
+// lane-reduction rules. A window row that is not a multiple of 8 wide ends
+// with a full group shifted left to end at its last tap (it rewrites the
+// overlapped taps with the same bits); rows narrower than 8 use masked
+// gathers and masked stores, whose off lanes never touch memory.
 //
 // Built with -mavx2 -ffp-contract=off (never -mfma): contraction would
 // fuse the mul/add chains into FMAs and change the low bits. On targets
@@ -232,41 +233,36 @@ inline __m256 bilinear8_full(const float* pix, int w, int ox, int oy,
   return bilerp8(p00, p10, p01, p11, fx, fy);
 }
 
+/// Lane x offsets of the 8-tap groups covering a (2r+1)-wide window row,
+/// in the order the samplers visit them: -r, -r+8, ... and, when the row
+/// is not a multiple of 8 wide, a last group shifted left to end at +r.
+/// A shifted group re-samples taps the previous group already wrote, at
+/// the same per-tap coordinates, so it stores the same bits over them.
+/// Rows narrower than 8 (r <= 3) take one masked group instead.
+inline int next_group(int wx, int r) { return wx + 8 <= r - 7 ? wx + 8 : r - 7; }
+
+/// sx per lane = px + (float)(wx + lane), the same int->float cast and
+/// single add as the scalar loop.
+inline __m256 lane_coords(float px, int wx) {
+  return _mm256_add_ps(
+      _mm256_set1_ps(px),
+      _mm256_cvtepi32_ps(_mm256_add_epi32(_mm256_set1_epi32(wx), lane_index())));
+}
+
 void lk_sample_window_avx2(const float* pix, int w, int ox, int oy, float px,
                            float py, int r, float* ivals, float* ixs,
                            float* iys) {
   const __m256 one = _mm256_set1_ps(1.0f);
   const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256i lane = lane_index();
-  std::size_t idx = 0;
+  const int n = 2 * r + 1;
   for (int wy = -r; wy <= r; ++wy) {
     const float sy = py + static_cast<float>(wy);
-    for (int wx = -r; wx <= r; wx += 8, idx += 8) {
-      const int live = (r - wx) + 1;  // lanes wx..min(wx+7, r)
-      // sx per lane = px + (float)(wx + lane), the same int->float cast
-      // and single add as the scalar loop.
-      const __m256 xv = _mm256_add_ps(
-          _mm256_set1_ps(px),
-          _mm256_cvtepi32_ps(_mm256_add_epi32(_mm256_set1_epi32(wx), lane)));
-      if (live >= 8) {
-        const __m256 v = bilinear8_full(pix, w, ox, oy, xv, sy);
-        const __m256 ix = _mm256_mul_ps(
-            _mm256_sub_ps(
-                bilinear8_full(pix, w, ox, oy, _mm256_add_ps(xv, one), sy),
-                bilinear8_full(pix, w, ox, oy, _mm256_sub_ps(xv, one), sy)),
-            half);
-        const __m256 iy = _mm256_mul_ps(
-            _mm256_sub_ps(bilinear8_full(pix, w, ox, oy, xv, sy + 1.0f),
-                          bilinear8_full(pix, w, ox, oy, xv, sy - 1.0f)),
-            half);
-        _mm256_storeu_ps(ivals + idx, v);
-        _mm256_storeu_ps(ixs + idx, ix);
-        _mm256_storeu_ps(iys + idx, iy);
-        continue;
-      }
+    const std::size_t row = static_cast<std::size_t>(wy + r) * n;
+    if (n < 8) {
       const __m256i maski =
-          _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lane);
+          _mm256_cmpgt_epi32(_mm256_set1_epi32(n), lane_index());
       const __m256 mask = _mm256_castsi256_ps(maski);
+      const __m256 xv = lane_coords(px, -r);
       const __m256 v = bilinear8(pix, w, ox, oy, xv, sy, mask);
       const __m256 ix = _mm256_mul_ps(
           _mm256_sub_ps(
@@ -277,35 +273,50 @@ void lk_sample_window_avx2(const float* pix, int w, int ox, int oy, float px,
           _mm256_sub_ps(bilinear8(pix, w, ox, oy, xv, sy + 1.0f, mask),
                         bilinear8(pix, w, ox, oy, xv, sy - 1.0f, mask)),
           half);
-      _mm256_maskstore_ps(ivals + idx, maski, v);
-      _mm256_maskstore_ps(ixs + idx, maski, ix);
-      _mm256_maskstore_ps(iys + idx, maski, iy);
-      idx -= 8 - static_cast<std::size_t>(live);
+      _mm256_maskstore_ps(ivals + row, maski, v);
+      _mm256_maskstore_ps(ixs + row, maski, ix);
+      _mm256_maskstore_ps(iys + row, maski, iy);
+      continue;
+    }
+    for (int wx = -r;; wx = next_group(wx, r)) {
+      const __m256 xv = lane_coords(px, wx);
+      const __m256 v = bilinear8_full(pix, w, ox, oy, xv, sy);
+      const __m256 ix = _mm256_mul_ps(
+          _mm256_sub_ps(
+              bilinear8_full(pix, w, ox, oy, _mm256_add_ps(xv, one), sy),
+              bilinear8_full(pix, w, ox, oy, _mm256_sub_ps(xv, one), sy)),
+          half);
+      const __m256 iy = _mm256_mul_ps(
+          _mm256_sub_ps(bilinear8_full(pix, w, ox, oy, xv, sy + 1.0f),
+                        bilinear8_full(pix, w, ox, oy, xv, sy - 1.0f)),
+          half);
+      const std::size_t idx = row + static_cast<std::size_t>(wx + r);
+      _mm256_storeu_ps(ivals + idx, v);
+      _mm256_storeu_ps(ixs + idx, ix);
+      _mm256_storeu_ps(iys + idx, iy);
+      if (wx == r - 7) break;
     }
   }
 }
 
 void lk_sample_patch_avx2(const float* pix, int w, int ox, int oy,
                           float base_x, float base_y, int r, float* jvals) {
-  const __m256i lane = lane_index();
-  std::size_t idx = 0;
+  const int n = 2 * r + 1;
   for (int wy = -r; wy <= r; ++wy) {
     const float jy = base_y + static_cast<float>(wy);
-    for (int wx = -r; wx <= r; wx += 8, idx += 8) {
-      const int live = (r - wx) + 1;
-      const __m256 xv = _mm256_add_ps(
-          _mm256_set1_ps(base_x),
-          _mm256_cvtepi32_ps(_mm256_add_epi32(_mm256_set1_epi32(wx), lane)));
-      if (live >= 8) {
-        _mm256_storeu_ps(jvals + idx, bilinear8_full(pix, w, ox, oy, xv, jy));
-        continue;
-      }
+    const std::size_t row = static_cast<std::size_t>(wy + r) * n;
+    if (n < 8) {
       const __m256i maski =
-          _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lane);
-      const __m256 v =
-          bilinear8(pix, w, ox, oy, xv, jy, _mm256_castsi256_ps(maski));
-      _mm256_maskstore_ps(jvals + idx, maski, v);
-      idx -= 8 - static_cast<std::size_t>(live);
+          _mm256_cmpgt_epi32(_mm256_set1_epi32(n), lane_index());
+      const __m256 v = bilinear8(pix, w, ox, oy, lane_coords(base_x, -r), jy,
+                                 _mm256_castsi256_ps(maski));
+      _mm256_maskstore_ps(jvals + row, maski, v);
+      continue;
+    }
+    for (int wx = -r;; wx = next_group(wx, r)) {
+      _mm256_storeu_ps(jvals + row + static_cast<std::size_t>(wx + r),
+                       bilinear8_full(pix, w, ox, oy, lane_coords(base_x, wx), jy));
+      if (wx == r - 7) break;
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/telemetry.h"
 #include "util/rng.h"
 #include "vision/image_ops.h"
 #include "vision/optical_flow.h"
@@ -313,12 +314,56 @@ std::vector<geometry::Point2f> edge_points(const ImagePyramid& pyr,
   return pts;
 }
 
+constexpr simd::Isa kTiers[] = {simd::Isa::kScalar, simd::Isa::kSse2,
+                                simd::Isa::kAvx2};
+
+/// Runs calc_optical_flow_pyr_lk on every available tier x {1, 4} threads
+/// and expects the bits of `want` / `want_st`. Returns the number of
+/// points compared.
+std::size_t expect_oracle_bits(const ImagePyramid& pa, const ImagePyramid& pb,
+                               const std::vector<geometry::Point2f>& pts,
+                               const LucasKanadeParams& params,
+                               const std::vector<geometry::Point2f>& want,
+                               const std::vector<FlowStatus>& want_st,
+                               const std::string& label) {
+  std::size_t compared = 0;
+  for (const simd::Isa isa : kTiers) {
+    if (simd::ops_for_isa(isa).isa != isa) {
+      std::cout << "[ NOTICE  ] tier " << simd::isa_name(isa)
+                << " unavailable on this host/build; skipping\n";
+      continue;
+    }
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(label + " r=" + std::to_string(params.window_radius) + " " +
+                   simd::isa_name(isa) + " " + std::to_string(threads) + "t");
+      KernelConfig cfg;
+      cfg.num_threads = threads;
+      cfg.min_points_per_task = 1;
+      cfg.isa = isa;
+      std::vector<geometry::Point2f> got;
+      std::vector<FlowStatus> got_st;
+      calc_optical_flow_pyr_lk(pa, pb, pts, got, got_st, params, cfg);
+      EXPECT_EQ(got.size(), pts.size());
+      if (got.size() != pts.size()) return compared;
+      for (std::size_t i = 0; i < pts.size(); ++i) {
+        EXPECT_EQ(float_bits(got[i].x), float_bits(want[i].x))
+            << "point " << i << " (" << pts[i].x << "," << pts[i].y << ")";
+        EXPECT_EQ(float_bits(got[i].y), float_bits(want[i].y))
+            << "point " << i << " (" << pts[i].x << "," << pts[i].y << ")";
+        EXPECT_EQ(got_st[i].tracked, want_st[i].tracked) << "point " << i;
+        EXPECT_EQ(float_bits(got_st[i].error), float_bits(want_st[i].error))
+            << "point " << i;
+      }
+      compared += pts.size();
+    }
+  }
+  return compared;
+}
+
 TEST(OpticalFlowOracle, BorderWindowsMatchClampedPerPixelLk) {
   const std::pair<int, int> sizes[] = {{97, 61}, {131, 83}};
   const std::pair<float, float> shifts[] = {{2.3f, -1.7f}, {-6.6f, 4.2f}};
   const int radii[] = {3, 5, 7, 4};  // 4 takes the generic-radius path
-  const simd::Isa tiers[] = {simd::Isa::kScalar, simd::Isa::kSse2,
-                             simd::Isa::kAvx2};
   std::size_t compared = 0;
   std::size_t tracked = 0;
   std::uint64_t seed = 101;
@@ -339,38 +384,10 @@ TEST(OpticalFlowOracle, BorderWindowsMatchClampedPerPixelLk) {
           oracle_track_point(pa, pb, params, pts[i], want[i], want_st[i]);
           tracked += want_st[i].tracked ? 1 : 0;
         }
-        for (const simd::Isa isa : tiers) {
-          if (simd::ops_for_isa(isa).isa != isa) {
-            std::cout << "[ NOTICE  ] tier " << simd::isa_name(isa)
-                      << " unavailable on this host/build; skipping\n";
-            continue;
-          }
-          for (const int threads : {1, 4}) {
-            SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h) +
-                         " shift " + std::to_string(dx) + "," +
-                         std::to_string(dy) + " r=" + std::to_string(radius) +
-                         " " + simd::isa_name(isa) + " " +
-                         std::to_string(threads) + "t");
-            KernelConfig cfg;
-            cfg.num_threads = threads;
-            cfg.min_points_per_task = 1;
-            cfg.isa = isa;
-            std::vector<geometry::Point2f> got;
-            std::vector<FlowStatus> got_st;
-            calc_optical_flow_pyr_lk(pa, pb, pts, got, got_st, params, cfg);
-            ASSERT_EQ(got.size(), pts.size());
-            for (std::size_t i = 0; i < pts.size(); ++i) {
-              EXPECT_EQ(float_bits(got[i].x), float_bits(want[i].x))
-                  << "point " << i << " (" << pts[i].x << "," << pts[i].y << ")";
-              EXPECT_EQ(float_bits(got[i].y), float_bits(want[i].y))
-                  << "point " << i << " (" << pts[i].x << "," << pts[i].y << ")";
-              EXPECT_EQ(got_st[i].tracked, want_st[i].tracked) << "point " << i;
-              EXPECT_EQ(float_bits(got_st[i].error), float_bits(want_st[i].error))
-                  << "point " << i;
-            }
-            compared += pts.size();
-          }
-        }
+        compared += expect_oracle_bits(
+            pa, pb, pts, params, want, want_st,
+            std::to_string(w) + "x" + std::to_string(h) + " shift " +
+                std::to_string(dx) + "," + std::to_string(dy));
       }
     }
   }
@@ -378,6 +395,122 @@ TEST(OpticalFlowOracle, BorderWindowsMatchClampedPerPixelLk) {
   // points were actually tracked (not rejected before the Newton loop).
   EXPECT_GT(compared, 0u);
   EXPECT_GT(tracked, 200u);
+}
+
+/// `v` with its lowest mantissa bit set: the finest fractional bit its
+/// binade allows, so v + k stays exact only while v + k keeps that binade.
+float odd_low_bit(float v) {
+  std::uint32_t b = float_bits(v);
+  b |= 1u;
+  float out = 0.0f;
+  std::memcpy(&out, &b, sizeof(out));
+  return out;
+}
+
+/// Full-resolution points whose level-`level` coordinates straddle the
+/// binade edges 16/64/128/256 (the window's +-(r+1) offsets then cross
+/// the edge, so some sums round: the sampled path) or sit well inside one
+/// (exact sums: the grid path), all with odd low mantissa bits; plus
+/// integer, sub-1 and negative coordinates. Every level of `pyr` gets its
+/// own set, scaled by 2^level so the level coordinate keeps its bits.
+std::vector<geometry::Point2f> exactness_points(const ImagePyramid& pyr,
+                                                std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<geometry::Point2f> pts;
+  for (int level = 0; level < pyr.levels(); ++level) {
+    const float scale = static_cast<float>(1 << level);
+    const float w = static_cast<float>(pyr.level(level).width());
+    const float h = static_cast<float>(pyr.level(level).height());
+    std::vector<float> xs;
+    std::vector<float> ys;
+    for (const float edge : {16.0f, 64.0f, 128.0f, 256.0f}) {
+      for (const float d : {-7.5f, -3.0f, -0.4f, 0.3f, 2.0f, 6.9f}) {
+        const float jitter = static_cast<float>(rng.uniform(0.0, 0.1));
+        if (edge + d + 12.0f < w) xs.push_back(odd_low_bit(edge + d + jitter));
+        if (edge + d + 12.0f < h) ys.push_back(odd_low_bit(edge + d + jitter));
+      }
+      // Inside the binade below the edge, far from both of its ends.
+      if (edge * 0.75f + 12.0f < w) xs.push_back(odd_low_bit(edge * 0.75f + 0.37f));
+      if (edge * 0.75f + 12.0f < h) ys.push_back(odd_low_bit(edge * 0.75f + 0.37f));
+    }
+    // Negative ones of magnitude 2-16 keep v + (r+1) exact while
+    // v - (r+1) rounds.
+    for (const float v : {0.3f, 0.75f, -0.6f, -2.6f, -3.7f, -5.3f, -6.9f,
+                          -12.7f, -14.2f, 5.0f, 11.0f}) {
+      xs.push_back(odd_low_bit(v));
+      ys.push_back(odd_low_bit(v));
+    }
+    xs.push_back(std::floor(w / 2));  // integers: always the grid path
+    ys.push_back(std::floor(h / 2));
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      // Pair each x with two ys: one from the list, one plain interior.
+      const float y = ys[i % ys.size()];
+      pts.push_back({xs[i] * scale, y * scale});
+      pts.push_back({xs[i] * scale, std::floor(h / 3) * scale});
+      pts.push_back({std::floor(w / 3) * scale, y * scale});
+    }
+  }
+  return pts;
+}
+
+TEST(OpticalFlowOracle, GridAndSampledWindowsMatchPerTapLk) {
+  const int w = 331;
+  const int h = 283;
+  const ImageF32 tex = smooth_texture(w, h, 77);
+  const ImagePyramid pa(to_u8(tex), 4, 8);
+  const ImagePyramid pb(shift_image(tex, 1.37f, -2.61f), 4, 8);
+  ASSERT_EQ(pa.levels(), 4);
+  const std::vector<geometry::Point2f> pts = exactness_points(pa, 5);
+  std::vector<geometry::Point2f> integer_pts;
+  for (int i = 0; i < 40; ++i) {
+    integer_pts.push_back({static_cast<float>(10 + (i * 37) % (w - 20)),
+                           static_cast<float>(10 + (i * 53) % (h - 20))});
+  }
+
+  const bool telemetry_was_on = obs::Telemetry::enabled();
+  obs::Telemetry::set_enabled(true);
+  const auto window_counts = [](const obs::MetricsSnapshot& before) {
+    const obs::MetricsSnapshot d =
+        obs::Telemetry::instance().snapshot().since(before);
+    return std::make_pair(d.counter("lk.grid_windows"),
+                          d.counter("lk.sampled_windows"));
+  };
+  std::size_t compared = 0;
+  std::size_t tracked = 0;
+  for (const int radius : {3, 5, 7, 4}) {  // 3: 7-wide rows, masked AVX2 path
+    LucasKanadeParams params;
+    params.window_radius = radius;
+    std::vector<geometry::Point2f> want(pts.size());
+    std::vector<FlowStatus> want_st(pts.size());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      oracle_track_point(pa, pb, params, pts[i], want[i], want_st[i]);
+      tracked += want_st[i].tracked ? 1 : 0;
+    }
+    const obs::MetricsSnapshot before = obs::Telemetry::instance().snapshot();
+    compared += expect_oracle_bits(pa, pb, pts, params, want, want_st,
+                                   "exactness points");
+    const auto [grid, sampled] = window_counts(before);
+    // Both structure-tensor paths ran on this point set.
+    EXPECT_GT(grid, 0u) << "r=" << radius;
+    EXPECT_GT(sampled, 0u) << "r=" << radius;
+
+    // Integer points take the grid path at every level.
+    std::vector<geometry::Point2f> want_int(integer_pts.size());
+    std::vector<FlowStatus> want_int_st(integer_pts.size());
+    for (std::size_t i = 0; i < integer_pts.size(); ++i) {
+      oracle_track_point(pa, pb, params, integer_pts[i], want_int[i],
+                         want_int_st[i]);
+    }
+    const obs::MetricsSnapshot before_int = obs::Telemetry::instance().snapshot();
+    compared += expect_oracle_bits(pa, pb, integer_pts, params, want_int,
+                                   want_int_st, "integer points");
+    const auto [grid_int, sampled_int] = window_counts(before_int);
+    EXPECT_GT(grid_int, 0u) << "r=" << radius;
+    EXPECT_EQ(sampled_int, 0u) << "r=" << radius;
+  }
+  obs::Telemetry::set_enabled(telemetry_was_on);
+  EXPECT_GT(compared, 0u);
+  EXPECT_GT(tracked, pts.size());  // over 4 radii: a fair share tracked
 }
 
 TEST(OpticalFlow, NonFiniteAndHugePointsEndUntracked) {
