@@ -5,9 +5,13 @@
 //    data-level-parallelism trajectory the simd/ subtree is accountable
 //    for; scripts/bench_gate.py enforces the AVX2 floors from the emitted
 //    `gate` block (avx2 >= 1.5x scalar on pyramid build and LK). On a host
-//    without AVX2 the block names both guards under `skipped`. The
-//    `lk_flow_border` row (the LK call on points next to the frame edges,
-//    where windows sample replicate-border tiles) is report-only.
+//    without AVX2 the block names both guards under `skipped`. Three rows
+//    are report-only: `lk_flow_border` (the LK call on points next to the
+//    frame edges, where windows sample replicate-border tiles),
+//    `lk_flow_subpixel` (the LK call on non-integer points, as a tracker
+//    passes them after its first step) and `good_features_masked` (the
+//    tracker's corner search: boxes covering about 6% of the frame, scored
+//    on their spans only).
 //  * Thread sweep — 1/2/4/N threads at the auto-dispatched ISA, speedup vs
 //    the serial path (the historical sweep).
 //
@@ -196,6 +200,30 @@ int main(int argc, char** argv) {
                            vision::good_features_to_track(frame_a, gf).size();
                        (void)sink;
                      }});
+  // Report-only: the tracker's corner search — a box mask over about 6% of
+  // the frame, with ObjectTracker's settings, scored on the float frame
+  // (a pyramid's level 0) through the box spans.
+  std::vector<geometry::BoundingBox> boxes;
+  for (int i = 0; i < 8; ++i) {
+    const float bw = static_cast<float>(width) * (0.06f + 0.01f * static_cast<float>(i % 3));
+    const float bh = static_cast<float>(height) * (0.08f + 0.01f * static_cast<float>(i % 4));
+    boxes.push_back({static_cast<float>(width) * (0.05f + 0.11f * static_cast<float>(i)),
+                     static_cast<float>(height) * (0.1f + 0.09f * static_cast<float>(i % 5)),
+                     bw, bh});
+  }
+  std::vector<vision::RowSpan> box_spans;
+  vision::boxes_spans({width, height}, boxes, 2.0f, box_spans);
+  kernels.push_back({"good_features_masked", [&](const vision::KernelConfig& cfg) {
+                       vision::GoodFeaturesParams gf;
+                       gf.max_corners = 80;
+                       gf.quality_level = 0.03;
+                       gf.min_distance = 5.0;
+                       gf.kernels = cfg;
+                       volatile std::size_t sink =
+                           vision::good_features_to_track(frame_f, gf, box_spans)
+                               .size();
+                       (void)sink;
+                     }});
   // LK is benchmarked on prebuilt pyramids: the pyramid cost is its own
   // row above, and this isolates the point-parallel flow loop.
   const vision::ImagePyramid pa(frame_a, 3);
@@ -225,6 +253,21 @@ int main(int argc, char** argv) {
                        std::vector<geometry::Point2f> out;
                        std::vector<vision::FlowStatus> status;
                        vision::calc_optical_flow_pyr_lk(pa, pb, border_points,
+                                                        out, status, {}, cfg);
+                     }});
+
+  // Report-only: the lk_flow call on the same points moved by a
+  // non-integer offset with full-precision fractional bits.
+  std::vector<geometry::Point2f> subpixel_points;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const float fx = 0.1f + 0.8f * static_cast<float>((i * 7919) % 1000) / 1000.0f;
+    const float fy = 0.1f + 0.8f * static_cast<float>((i * 104729) % 1000) / 1000.0f;
+    subpixel_points.push_back({points[i].x + fx / 3.0f, points[i].y + fy / 3.0f});
+  }
+  kernels.push_back({"lk_flow_subpixel", [&](const vision::KernelConfig& cfg) {
+                       std::vector<geometry::Point2f> out;
+                       std::vector<vision::FlowStatus> status;
+                       vision::calc_optical_flow_pyr_lk(pa, pb, subpixel_points,
                                                         out, status, {}, cfg);
                      }});
 
