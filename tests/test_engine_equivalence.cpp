@@ -16,8 +16,8 @@
 //
 //  2. Fault determinism: a seeded fault-injected run (detector + camera +
 //     tracker channels) matches its golden digest and fault count on
-//     detect-only, continuous, MPDT and AdaVP, and replays bit-identically
-//     across repeats and vision-kernel thread counts.
+//     detect-only, continuous, MPDT, AdaVP and offload, and replays
+//     bit-identically across repeats and vision-kernel thread counts.
 
 #include <gtest/gtest.h>
 
@@ -118,6 +118,32 @@ TEST(EngineEquivalence, OffloadMatchesPreRefactorMain) {
       << "digest 0x" << std::hex << digest_run(run);
 }
 
+// The catch-up batch's other frame-selection policies (the ablation
+// knob): track every buffered frame oldest-first, and track only the
+// newest one.
+constexpr std::uint64_t kGoldenMpdtTrackAll = 0xCC82B6617F99F701ULL;
+constexpr std::uint64_t kGoldenMpdtNewestOnly = 0xE95C73D29AA6671EULL;
+
+TEST(EngineEquivalence, MpdtTrackAllMatchesGolden) {
+  const video::SyntheticVideo video(equivalence_scene());
+  MpdtOptions options;
+  options.seed = kSeed;
+  options.selection = SelectionPolicy::kTrackAll;
+  const RunResult run = run_mpdt(video, options);
+  EXPECT_EQ(digest_run(run), kGoldenMpdtTrackAll)
+      << "digest 0x" << std::hex << digest_run(run);
+}
+
+TEST(EngineEquivalence, MpdtNewestOnlyMatchesGolden) {
+  const video::SyntheticVideo video(equivalence_scene());
+  MpdtOptions options;
+  options.seed = kSeed;
+  options.selection = SelectionPolicy::kNewestOnly;
+  const RunResult run = run_mpdt(video, options);
+  EXPECT_EQ(digest_run(run), kGoldenMpdtNewestOnly)
+      << "digest 0x" << std::hex << digest_run(run);
+}
+
 TEST(EngineEquivalence, NoFaultPlanMeansOkStatusAndZeroFaults) {
   const video::SyntheticVideo video(equivalence_scene());
   MpdtOptions options;
@@ -147,11 +173,13 @@ util::FaultPlan chaos_plan() {
 
 // Golden digests and fault counts of the chaos runs (equivalence_scene,
 // kSeed, kChaosSpec with plan seed 9): the fault-injected counterpart of
-// the fault-free goldens above, for every engine that runs as a graph spec.
+// the fault-free goldens above, for every engine that runs as a graph spec
+// and for offload, whose catch-up batch the graph engines share.
 constexpr std::uint64_t kGoldenChaosDetectOnly = 0xABDD10B822E68443ULL;
 constexpr std::uint64_t kGoldenChaosContinuous = 0xD821D21110DCD441ULL;
 constexpr std::uint64_t kGoldenChaosMpdt = 0x2FEDB10F7F1021EBULL;
 constexpr std::uint64_t kGoldenChaosAdaVp = 0xB8A4C286373F8445ULL;
+constexpr std::uint64_t kGoldenChaosOffload = 0x804E840DDB892C7AULL;
 
 void expect_chaos_golden(const RunResult& run, std::uint64_t golden,
                          std::uint64_t faults) {
@@ -199,6 +227,15 @@ TEST(EngineFaults, AdaVpChaosMatchesGolden) {
   options.seed = kSeed;
   options.fault_plan = &plan;
   expect_chaos_golden(run_mpdt(video, options), kGoldenChaosAdaVp, 8);
+}
+
+TEST(EngineFaults, OffloadChaosMatchesGolden) {
+  const video::SyntheticVideo video(equivalence_scene());
+  const util::FaultPlan plan = chaos_plan();
+  OffloadOptions options;
+  options.seed = kSeed;
+  options.fault_plan = &plan;
+  expect_chaos_golden(run_offload(video, options), kGoldenChaosOffload, 12);
 }
 
 TEST(EngineFaults, MpdtFaultReplayIsBitIdenticalAcrossRepeats) {
