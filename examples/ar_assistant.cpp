@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   table.add_row({"tracking tasks cancelled by detector fetch",
                  std::to_string(result.stats.tracking_tasks_cancelled)});
   table.add_row({"frames rasterized (shared frame store)",
-                 std::to_string(result.stats.frames_rendered)});
+                 std::to_string(result.run.frame_store.renders)});
   table.add_row({"frames dropped by the frame buffer",
                  std::to_string(result.stats.frames_dropped)});
   table.add_row({"frame-store shared hits",
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   table.add_row({"pixel-buffer pool reuses",
                  std::to_string(result.run.frame_store.pool_reuses)});
   table.add_row({"model-setting switches",
-                 std::to_string(result.stats.setting_switches)});
+                 std::to_string(result.run.setting_switches)});
   table.add_row({"mean F1", util::fmt(util::mean(f1), 3)});
   table.add_row({"accuracy (F1 >= 0.7)",
                  util::fmt(metrics::video_accuracy(f1, 0.7), 3)});

@@ -23,6 +23,7 @@
 //      --flight-recorder-out arms the crash/degradation flight recorder's
 //      automatic post-mortem dump. See docs/OBSERVABILITY.md.
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -43,18 +44,17 @@ int main(int argc, char** argv) {
   using namespace adavp;
   const util::Args args(argc, argv);
 
-  // 0. (--graph-out FILE [--graph-engine NAME]) dump the named engine's
-  //    dataflow topology as Graphviz and exit. The rebased engines
-  //    (detect_only, continuous, mpdt, adavp) export the executable wiring
-  //    the run below actually schedules; the legacy engines (realtime,
-  //    marlin, offload) export a descriptive diagram of their loop.
-  //    Render with `dot -Tsvg engine.dot -o engine.svg`.
+  // 0. (--graph-out FILE [--graph-engine NAME]) dump a graph engine's
+  //    dataflow topology as Graphviz and exit: the executable wiring the
+  //    run below actually schedules. NAME is detect_only, continuous, mpdt
+  //    or adavp; realtime, marlin and offload have no graph and are
+  //    refused. Render with `dot -Tsvg engine.dot -o engine.svg`.
   const std::string graph_out = args.get("graph-out", "");
   if (!graph_out.empty()) {
     const std::string engine = args.get("graph-engine", "adavp");
     try {
-      std::ofstream out(graph_out);
-      out << core::graph::engine_topology_dot(engine);
+      const std::string dot = core::graph::engine_topology_dot(engine);
+      std::ofstream(graph_out) << dot;
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << "\n";
       return 2;
@@ -191,18 +191,22 @@ int main(int argc, char** argv) {
               << " detections, " << realtime.stats.frames_tracked
               << " tracked frames, " << realtime.stats.tracking_tasks_cancelled
               << " cancelled tasks, status "
-              << realtime.status.to_string() << "\n";
+              << realtime.run.status.to_string() << "\n";
     std::cout << realtime.metrics.to_text();
     if (slo_spec.has_value()) {
-      std::cout << "SLO: " << realtime.stats.slo_windows << " windows, "
-                << realtime.stats.slo_violated_windows << " violated, "
-                << realtime.stats.slo_breaches << " breach(es)"
-                << (realtime.run.slo.in_breach_at_end ? ", in breach at end"
-                                                      : "")
+      const obs::SloReport& slo = realtime.run.slo;
+      std::cout << "SLO: " << slo.windows.size() << " windows, "
+                << slo.violated_windows << " violated, "
+                << std::count_if(slo.breaches.begin(), slo.breaches.end(),
+                                 [](const obs::SloBreachEvent& b) {
+                                   return b.entered;
+                                 })
+                << " breach(es)"
+                << (slo.in_breach_at_end ? ", in breach at end" : "")
                 << "\n";
       if (!slo_out.empty()) {
         std::ofstream out(slo_out);
-        out << realtime.run.slo.to_json() << "\n";
+        out << slo.to_json() << "\n";
         if (!out) {
           std::cerr << "error: cannot write SLO report: " << slo_out << "\n";
           return 1;

@@ -185,9 +185,7 @@ RunResult run_continuous(const video::SyntheticVideo& video,
   ctx.finish();
   // Continuous mode reports how much *longer* than the video the
   // back-to-back inference takes, even when it happens to finish early.
-  ctx.run.latency_multiplier =
-      processing_ms /
-      (static_cast<double>(ctx.frame_count) * ctx.interval_ms);
+  ctx.run.latency_multiplier = processing_ms / ctx.duration_ms;
   return std::move(ctx.run);
 }
 

@@ -10,12 +10,9 @@ namespace adavp::core {
 /// run_offload) *compute* the schedule: occupying the pipeline is an
 /// addition, so runs are deterministic and bit-identical across machines.
 /// The wall-clock engine (run_realtime) *lives* the schedule: occupying
-/// the pipeline really sleeps, scaled by the run's time factor.
-///
-/// Features that only make sense against real elapsed time — the watchdog,
-/// the degradation ladder — are gated on `is_virtual()`: a virtual run has
-/// no overruns to catch, because modeled latencies land exactly when the
-/// model says.
+/// the pipeline really sleeps, scaled by the run's time factor. The
+/// engines share everything else through EngineContext; no shared code
+/// asks which clock it runs on.
 class Clock {
  public:
   virtual ~Clock() = default;
@@ -30,8 +27,6 @@ class Clock {
   /// time only moves forward through the engines, but the clock itself
   /// does not enforce it — schedules own their arithmetic.
   virtual void set(double t_ms) = 0;
-
-  virtual bool is_virtual() const = 0;
 };
 
 /// Deterministic simulated time: a double that only arithmetic touches.
@@ -40,7 +35,6 @@ class VirtualClock final : public Clock {
   double now_ms() const override { return t_; }
   void occupy(double duration_ms) override { t_ += duration_ms; }
   void set(double t_ms) override { t_ = t_ms; }
-  bool is_virtual() const override { return true; }
 
  private:
   double t_ = 0.0;
@@ -67,8 +61,6 @@ class WallClock final : public Clock {
   }
 
   void set(double) override {}  // wall time cannot be assigned
-
-  bool is_virtual() const override { return false; }
 
  private:
   double scale_;

@@ -35,6 +35,7 @@ EngineContext::EngineContext(const video::SyntheticVideo& video,
       frame_count(video.frame_count()),
       last(video.frame_count() - 1),
       interval_ms(video.frame_interval_ms()),
+      duration_ms(static_cast<double>(frame_count) * interval_ms),
       clock(clock != nullptr ? std::move(clock)
                              : std::make_unique<VirtualClock>()),
       detector(options.seed, plan_channel(options.fault_plan, "detector")),
@@ -142,73 +143,93 @@ EngineContext::Catchup EngineContext::track_catchup(
     int ref_index, const std::vector<detect::Detection>& ref_detections,
     int next_index, double cycle_start, double cycle_end,
     detect::ModelSetting result_setting, SelectionPolicy policy) {
-  // Re-arm the tracker from the reference detection, then propagate it
-  // across the frames accumulated between the reference and the frame the
-  // detector is now busy with. All frame pixels come from the shared
-  // store: one render per frame per run, shared by reference.
-  store().trim_below(ref_index);  // frames behind the reference are done
-  const video::FrameRef ref_frame = frame(ref_index);
-  tracker().set_reference_at(ref_frame.image(), ref_detections, ref_index);
-  const double extract_ms = latency.feature_extraction_ms();
-  double cpu_clock = cycle_start + extract_ms;
-  meter.add_cpu_busy(energy::PowerModel::cpu_track_w(), extract_ms);
-
-  Catchup out;
-  out.frames_between = next_index - 1 - ref_index;
-  std::vector<int> offsets;
-  switch (policy) {
-    case SelectionPolicy::kAdaptiveFraction:
-      offsets = selector.select(out.frames_between);
-      break;
-    case SelectionPolicy::kTrackAll:
-      for (int k = 1; k <= out.frames_between; ++k) offsets.push_back(k);
-      break;
-    case SelectionPolicy::kNewestOnly:
-      if (out.frames_between > 0) offsets.push_back(out.frames_between);
-      break;
-  }
-  velocity.reset();
-  int prev_offset = 0;
-  for (int offset : offsets) {
+  // All frame pixels come from the shared store (camera glitches applied):
+  // one render per frame per run, shared by reference.
+  CatchupBatch batch(*this, ref_index, next_index - 1 - ref_index, policy);
+  batch.arm(frame(ref_index), ref_detections);
+  double cpu_clock = cycle_start + batch.extract_ms();
+  int tracked = 0;
+  while (!batch.done()) {
     // The latency draw happens before the budget check — the step was
     // *scheduled*, then cancelled — so the RNG stream stays aligned with
     // the pre-runtime engines (and across thread-count settings).
-    const double step_cost =
-        latency.tracking_ms(tracker().object_count(),
-                            tracker().live_feature_count()) +
-        latency.overlay_ms();
-    if (cpu_clock + step_cost > cycle_end) {
+    const CatchupBatch::Step step = batch.next();
+    if (cpu_clock + step.cost_ms > cycle_end) {
       // Detector fetched its next frame: remaining tracking tasks are
       // cancelled (§IV-B) and those frames fall back to reuse.
       break;
     }
-    const int frame_index = ref_index + offset;
-    const video::FrameRef step_frame = frame(frame_index);
-    const track::TrackStepStats stats =
-        tracker().track_frame(step_frame.image(), offset - prev_offset,
-                              frame_index);
-    velocity.add_step(stats);
-    cpu_clock += step_cost;
-    meter.add_cpu_busy(energy::PowerModel::cpu_track_w(), step_cost);
+    batch.track(step, frame(step.frame_index));
+    cpu_clock += step.cost_ms;
 
-    FrameResult& result = run.frames[static_cast<std::size_t>(frame_index)];
+    FrameResult& result =
+        run.frames[static_cast<std::size_t>(step.frame_index)];
     result.source = ResultSource::kTracker;
     result.boxes = tracker().current_boxes();
     result.setting = result_setting;
-    result.staleness_ms = cpu_clock - capture_time_ms(frame_index);
+    result.staleness_ms = cpu_clock - capture_time_ms(step.frame_index);
     if (slo_tracker_.has_value()) {
       slo_tracker_->on_result(cpu_clock, result.staleness_ms,
                               /*coasted=*/false);
     }
-    ++out.tracked;
-    prev_offset = offset;
+    ++tracked;
   }
-  if (out.frames_between > 0) {
-    selector.update(std::max(out.tracked, 1), out.frames_between);
-  }
+  Catchup out = batch.finish(tracked);
   out.cpu_end_ms = cpu_clock;
-  out.mean_velocity = velocity.mean_velocity();
-  out.velocity_steps = velocity.step_count();
+  return out;
+}
+
+CatchupBatch::CatchupBatch(EngineContext& ctx, int ref_index,
+                           int frames_between, SelectionPolicy policy)
+    : ctx_(ctx), ref_index_(ref_index), frames_between_(frames_between) {
+  ctx_.store().trim_below(ref_index);  // frames behind the reference are done
+  extract_ms_ = ctx_.latency.feature_extraction_ms();
+  switch (policy) {
+    case SelectionPolicy::kAdaptiveFraction:
+      offsets_ = ctx_.selector.select(frames_between);
+      break;
+    case SelectionPolicy::kTrackAll:
+      for (int k = 1; k <= frames_between; ++k) offsets_.push_back(k);
+      break;
+    case SelectionPolicy::kNewestOnly:
+      if (frames_between > 0) offsets_.push_back(frames_between);
+      break;
+  }
+  ctx_.velocity.reset();
+}
+
+void CatchupBatch::arm(const video::FrameRef& ref,
+                       const std::vector<detect::Detection>& detections) {
+  ctx_.tracker().set_reference_at(ref.image(), detections, ref_index_);
+  ctx_.meter.add_cpu_busy(energy::PowerModel::cpu_track_w(), extract_ms_);
+}
+
+CatchupBatch::Step CatchupBatch::next() {
+  const int offset = offsets_[next_++];
+  track::FaultyTracker& tracker = ctx_.tracker();
+  const double cost_ms =
+      ctx_.latency.tracking_ms(tracker.object_count(),
+                               tracker.live_feature_count()) +
+      ctx_.latency.overlay_ms();
+  return {offset, ref_index_ + offset, cost_ms};
+}
+
+void CatchupBatch::track(const Step& step, const video::FrameRef& frame) {
+  ctx_.meter.add_cpu_busy(energy::PowerModel::cpu_track_w(), step.cost_ms);
+  ctx_.velocity.add_step(ctx_.tracker().track_frame(
+      frame.image(), step.offset - prev_offset_, step.frame_index));
+  prev_offset_ = step.offset;
+}
+
+EngineContext::Catchup CatchupBatch::finish(int tracked) {
+  if (frames_between_ > 0) {
+    ctx_.selector.update(std::max(tracked, 1), frames_between_);
+  }
+  EngineContext::Catchup out;
+  out.frames_between = frames_between_;
+  out.tracked = tracked;
+  out.mean_velocity = ctx_.velocity.mean_velocity();
+  out.velocity_steps = ctx_.velocity.step_count();
   return out;
 }
 
@@ -224,21 +245,23 @@ std::uint64_t EngineContext::faults_injected() const {
 }
 
 void EngineContext::finish() {
-  fill_reused_frames(run.frames);
-  const double end_ms = clock->now_ms();
-  const double video_duration = static_cast<double>(frame_count) * interval_ms;
-  run.timeline_ms = std::max(video_duration, end_ms);
+  run.timeline_ms = std::max(duration_ms, clock->now_ms());
   run.latency_multiplier =
-      video_duration > 0.0 ? run.timeline_ms / video_duration : 1.0;
+      duration_ms > 0.0 ? run.timeline_ms / duration_ms : 1.0;
   run.energy = meter.finish(run.timeline_ms);
-  if (store_.has_value()) run.frame_store = store_->stats();
   run.faults_injected = faults_injected();
   if (!run.status.failed() && run.faults_injected > 0) {
     run.status = Status::degraded(std::to_string(run.faults_injected) +
                                   " faults injected");
   }
+  publish();
+}
+
+void EngineContext::publish() {
+  fill_reused_frames(run.frames);
+  if (store_.has_value()) run.frame_store = store_->stats();
   if (slo_tracker_.has_value()) {
-    run.slo = slo_tracker_->finish(run.timeline_ms);
+    run.slo = slo_tracker_->finish(std::max(duration_ms, clock->now_ms()));
   }
   if (obs::Telemetry::enabled()) {
     obs::MetricsRegistry& reg = obs::metrics();

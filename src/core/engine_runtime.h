@@ -80,6 +80,7 @@ class EngineContext {
   const int frame_count;
   const int last;            ///< frame_count - 1
   const double interval_ms;  ///< capture interval
+  const double duration_ms;  ///< video duration: frame_count * interval_ms
 
   // --- shared components (public: engines are in-family policies) --------
   std::unique_ptr<Clock> clock;
@@ -139,12 +140,13 @@ class EngineContext {
     int velocity_steps = 0;      ///< steps with at least one live feature
   };
 
-  /// Re-arms the tracker from the reference detection and propagates it
-  /// across the frames buffered between `ref_index` and `next_index`,
-  /// while the detector (virtually) occupies [cycle_start, cycle_end]:
-  /// frame selection by `policy`, per-step modeled CPU latencies, batch
-  /// cancellation when the CPU clock would overrun `cycle_end`, results
-  /// recorded as kTracker frames at `result_setting`.
+  /// The virtual-time catch-up batch (a CatchupBatch scheduled on the CPU
+  /// budget): re-arms the tracker from the reference detection and
+  /// propagates it across the frames buffered between `ref_index` and
+  /// `next_index`, while the detector occupies [cycle_start, cycle_end].
+  /// A step whose modeled cost would overrun `cycle_end` cancels the rest
+  /// of the batch; tracked frames are recorded as kTracker results at
+  /// `result_setting`, stamped with their staleness.
   Catchup track_catchup(int ref_index,
                         const std::vector<detect::Detection>& ref_detections,
                         int next_index, double cycle_start, double cycle_end,
@@ -153,8 +155,8 @@ class EngineContext {
 
   // --- outcome -----------------------------------------------------------
   /// The run's SLO tracker (nullptr when EngineOptions::slo is null).
-  /// record_detection and track_catchup feed it automatically; engines
-  /// with out-of-band results (realtime coasting) feed it directly.
+  /// record_detection and track_catchup feed it automatically; realtime,
+  /// which shows its results from two threads, feeds it directly.
   obs::SloTracker* slo_tracker() {
     return slo_tracker_.has_value() ? &*slo_tracker_ : nullptr;
   }
@@ -166,11 +168,18 @@ class EngineContext {
   /// Faults applied so far across all channels.
   std::uint64_t faults_injected() const;
 
-  /// The shared epilogue: fill skipped frames from the previous result,
-  /// close the timeline at max(video duration, clock), integrate energy,
-  /// snapshot frame-store stats, and resolve the run's Status (kDegraded
-  /// when faults were absorbed, untouched when already failed).
+  /// The virtual engines' epilogue: close the timeline at max(video
+  /// duration, clock), integrate energy over it, resolve the run's Status
+  /// (kDegraded when faults were absorbed, untouched when already failed),
+  /// then publish().
   void finish();
+
+  /// The epilogue tail every engine shares once its timeline, energy and
+  /// status are set: fill skipped frames from the previous result,
+  /// snapshot frame-store stats, close the SLO windows at max(video
+  /// duration, clock), publish the energy gauges, and dump the flight
+  /// recorder when the run is not ok.
+  void publish();
 
  private:
   EngineOptions options_;
@@ -182,6 +191,62 @@ class EngineContext {
   std::unordered_set<int> counted_glitches_;  ///< frames with pixel faults billed
   std::unordered_set<int> counted_delays_;    ///< frames with hiccups billed
   std::uint64_t camera_faults_injected_ = 0;
+};
+
+/// One catch-up batch (§IV-B/C), the tracker side every engine shares: the
+/// tracker re-arms on the reference detection, then follows the buffered
+/// frames the selection policy picks, one step at a time. The scheduler
+/// around it owns what differs: when to stop (the virtual engines' CPU
+/// budget, the realtime detector's next fetch), where each frame's pixels
+/// come from, pacing, and how results are shown.
+///
+/// RNG order: the feature-extraction cost is drawn when the batch opens,
+/// and each step's cost when next() yields it, from the tracker's live
+/// population at that moment.
+class CatchupBatch {
+ public:
+  struct Step {
+    int offset = 0;        ///< frames after the reference
+    int frame_index = 0;
+    double cost_ms = 0.0;  ///< modeled tracking + overlay latency
+  };
+
+  /// Opens a batch over the `frames_between` frames after `ref_index`:
+  /// lets the store recycle frames behind the reference, draws the
+  /// feature-extraction cost, and selects the offsets by `policy`.
+  CatchupBatch(EngineContext& ctx, int ref_index, int frames_between,
+               SelectionPolicy policy);
+
+  /// Modeled cost of re-arming the tracker (feature extraction).
+  double extract_ms() const { return extract_ms_; }
+
+  /// Re-arms the tracker on the reference frame's pixels and bills the
+  /// extraction to the CPU rail.
+  void arm(const video::FrameRef& ref,
+           const std::vector<detect::Detection>& detections);
+
+  /// True once every selected offset has been yielded.
+  bool done() const { return next_ == offsets_.size(); }
+
+  /// The next selected step, its cost drawn now. Requires !done().
+  Step next();
+
+  /// Tracks `step` on `frame`'s pixels, bills its cost to the CPU rail and
+  /// feeds the velocity estimator.
+  void track(const Step& step, const video::FrameRef& frame);
+
+  /// Closes the batch after `tracked` steps were shown: the selector
+  /// adapts its fraction (§IV-C). `cpu_end_ms` is left to the scheduler.
+  EngineContext::Catchup finish(int tracked);
+
+ private:
+  EngineContext& ctx_;
+  const int ref_index_;
+  const int frames_between_;
+  double extract_ms_ = 0.0;
+  std::vector<int> offsets_;
+  std::size_t next_ = 0;
+  int prev_offset_ = 0;
 };
 
 /// Detections -> scored result boxes (every engine's output conversion).

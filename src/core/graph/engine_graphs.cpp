@@ -7,103 +7,6 @@
 
 namespace adavp::core::graph {
 
-namespace {
-
-/// Port-and-name-only node for the descriptive diagrams of engines that
-/// still run their hard-coded loops (marlin / realtime / offload). Never
-/// scheduled: the topology exists purely for to_dot().
-class StubNode : public Node {
- public:
-  StubNode(std::string name, std::vector<std::string> ins,
-           std::vector<std::string> outs)
-      : Node(std::move(name)) {
-    for (auto& in : ins) declare_input_any(std::move(in), /*optional=*/true);
-    for (auto& out : outs) declare_output_any(std::move(out));
-  }
-  void process(NodeRun&) override {
-    throw GraphError(name() + ": descriptive-only node cannot run");
-  }
-};
-
-Graph descriptive_marlin() {
-  Graph g;
-  g.set_name("run_marlin");
-  auto& camera = g.add<StubNode>("camera", std::vector<std::string>{"tick"},
-                                std::vector<std::string>{"frame"});
-  auto& tracker = g.add<StubNode>(
-      "tracker", std::vector<std::string>{"frame", "reference"},
-      std::vector<std::string>{"boxes", "scene_change"});
-  auto& detector =
-      g.add<StubNode>("detector", std::vector<std::string>{"scene_change"},
-                      std::vector<std::string>{"reference"});
-  auto& sink = g.add<StubNode>("sink", std::vector<std::string>{"boxes"},
-                               std::vector<std::string>{"tick"});
-  g.connect(camera, "frame", tracker, "frame");
-  g.connect(tracker, "scene_change", detector, "scene_change");
-  g.connect(detector, "reference", tracker, "reference");
-  g.connect(tracker, "boxes", sink, "boxes");
-  g.connect(sink, "tick", camera, "tick");
-  return g;
-}
-
-Graph descriptive_realtime() {
-  Graph g;
-  g.set_name("run_realtime");
-  auto& camera = g.add<StubNode>("camera", std::vector<std::string>{},
-                                std::vector<std::string>{"frame"});
-  auto& resampler =
-      g.add<StubNode>("resampler", std::vector<std::string>{"frame"},
-                      std::vector<std::string>{"frame"});
-  auto& degradation = g.add<StubNode>(
-      "degradation", std::vector<std::string>{"frame", "overrun"},
-      std::vector<std::string>{"frame"});
-  auto& detector =
-      g.add<StubNode>("detector", std::vector<std::string>{"frame"},
-                      std::vector<std::string>{"detections", "overrun"});
-  auto& tracker = g.add<StubNode>(
-      "tracker", std::vector<std::string>{"frame", "detections"},
-      std::vector<std::string>{"boxes"});
-  auto& sink = g.add<StubNode>("sink", std::vector<std::string>{"boxes"},
-                               std::vector<std::string>{});
-  g.connect(camera, "frame", resampler, "frame");
-  g.connect(resampler, "frame", degradation, "frame");
-  g.connect(degradation, "frame", detector, "frame");
-  g.connect(detector, "overrun", degradation, "overrun");
-  g.connect(detector, "detections", tracker, "detections");
-  g.connect(camera, "frame", tracker, "frame", /*capacity=*/8);
-  g.connect(tracker, "boxes", sink, "boxes");
-  return g;
-}
-
-Graph descriptive_offload() {
-  Graph g;
-  g.set_name("run_offload");
-  auto& camera = g.add<StubNode>("camera", std::vector<std::string>{"tick"},
-                                std::vector<std::string>{"frame"});
-  auto& encoder = g.add<StubNode>("encoder", std::vector<std::string>{"frame"},
-                                  std::vector<std::string>{"bitstream"});
-  auto& uplink =
-      g.add<StubNode>("uplink", std::vector<std::string>{"bitstream"},
-                      std::vector<std::string>{"remote_frame"});
-  auto& server =
-      g.add<StubNode>("server", std::vector<std::string>{"remote_frame"},
-                      std::vector<std::string>{"detections"});
-  auto& downlink =
-      g.add<StubNode>("downlink", std::vector<std::string>{"detections"},
-                      std::vector<std::string>{"detections"});
-  auto& sink = g.add<StubNode>("sink", std::vector<std::string>{"detections"},
-                               std::vector<std::string>{"tick"});
-  g.connect(camera, "frame", encoder, "frame");
-  g.connect(encoder, "bitstream", uplink, "bitstream");
-  g.connect(uplink, "remote_frame", server, "remote_frame");
-  g.connect(server, "detections", downlink, "detections");
-  g.connect(downlink, "detections", sink, "detections");
-  g.connect(sink, "tick", camera, "tick");
-  return g;
-}
-
-}  // namespace
-
 Graph build_detect_only_graph(EngineContext& ctx,
                               detect::ModelSetting setting) {
   Graph g;
@@ -161,10 +64,6 @@ Graph build_mpdt_graph(EngineContext& ctx, detect::ModelSetting setting,
 }
 
 std::string engine_topology_dot(const std::string& engine) {
-  if (engine == "marlin") return descriptive_marlin().to_dot();
-  if (engine == "realtime") return descriptive_realtime().to_dot();
-  if (engine == "offload") return descriptive_offload().to_dot();
-
   // The graph engines export their *executable* wiring: build the real
   // graph over a throwaway one-frame context and dump it without running.
   video::SceneConfig config;
@@ -189,8 +88,8 @@ std::string engine_topology_dot(const std::string& engine) {
                             SelectionPolicy::kAdaptiveFraction)
         .to_dot();
   }
-  throw GraphError("unknown engine '" + engine + "' (expected mpdt, adavp, "
-                   "detect_only, continuous, marlin, realtime, or offload)");
+  throw GraphError("no graph topology for engine '" + engine +
+                   "' (graph engines: mpdt, adavp, detect_only, continuous)");
 }
 
 }  // namespace adavp::core::graph

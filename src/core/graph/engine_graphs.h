@@ -25,12 +25,10 @@ Graph build_mpdt_graph(EngineContext& ctx, detect::ModelSetting setting,
                        const adapt::ModelAdapter* adapter,
                        SelectionPolicy selection);
 
-/// Graphviz topology for any engine by name ("mpdt", "adavp",
-/// "detect_only", "continuous", "marlin", "realtime", "offload"). The three
-/// graph engines above export their real executable wiring; MARLIN,
-/// realtime and offload, which run hand-written loops, export a descriptive
-/// diagram so `quickstart --graph-out` covers the whole engine table.
-/// Throws GraphError on an unknown engine name.
+/// Graphviz topology of a graph engine by name ("mpdt", "adavp",
+/// "detect_only", "continuous"): its real executable wiring. Throws
+/// GraphError for any other name, MARLIN, realtime and offload included;
+/// they schedule over EngineContext without a graph.
 std::string engine_topology_dot(const std::string& engine);
 
 }  // namespace adavp::core::graph

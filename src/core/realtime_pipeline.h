@@ -61,21 +61,20 @@ struct RealtimeOptions {
   SupervisorOptions supervisor;
   /// Non-null => per-window SLO evaluation: every displayed result feeds an
   /// obs::SloTracker on pipeline (scaled-wall) time and the report lands in
-  /// RunResult::slo / RealtimeStats. Must outlive the run.
+  /// RunResult::slo. Must outlive the run.
   const obs::SloSpec* slo = nullptr;
 };
 
-/// Counters exposed by a realtime run, used by tests to check the
-/// concurrency design (§IV-B) actually behaves as described.
+/// Counters of a realtime run that have no RunResult field, used by tests
+/// to check the concurrency design (§IV-B) actually behaves as described.
+/// Setting switches, faults, frame-store renders and SLO windows are read
+/// from RealtimeResult::run.
 struct RealtimeStats {
   int frames_captured = 0;
   int frames_detected = 0;
   int frames_tracked = 0;
   int tracking_tasks_cancelled = 0;  ///< tasks cut short by a detector fetch
-  int setting_switches = 0;
   int frames_dropped = 0;   ///< FrameBuffer overflow drops (obs: buffer.dropped)
-  int frames_rendered = 0;  ///< store rasterizations; <= frames_captured means
-                            ///< the render-once design held (no double render)
   // -- supervisor / fault-tolerance counters (zero when unsupervised) ------
   int watchdog_timeouts = 0;   ///< cycles cancelled at the deadline
   int coast_cycles = 0;        ///< detector cycles that ran tracker-only
@@ -83,33 +82,24 @@ struct RealtimeStats {
   int degrade_steps_down = 0;  ///< ladder steps toward tracker-only
   int degrade_steps_up = 0;    ///< ladder recoveries
   int max_degrade_level = 0;   ///< deepest ladder level reached (0..4)
-  int faults_injected = 0;     ///< detector + tracker + camera faults applied
-  // -- SLO evaluation (zero unless RealtimeOptions::slo was set) -----------
-  int slo_windows = 0;           ///< windows evaluated (RunResult::slo)
-  int slo_violated_windows = 0;  ///< windows that failed a check
-  int slo_breaches = 0;          ///< breach events *entered* (hysteresis)
 };
 
 /// Result of a realtime run: the per-frame results (same structure the
 /// virtual-time engine produces, so the same scorers apply) plus thread
-/// counters. `run.energy` integrates the per-worker meters (GPU inference,
-/// CPU tracking, CPU-coast while degraded) over the video timeline, and
-/// `run.status` / `run.faults_injected` mirror the supervisor's verdict,
-/// so RunResult consumers see the same epilogue the virtual engines emit.
+/// counters. `run.energy` integrates the GPU inference, CPU tracking and
+/// CPU-coast power over the video timeline. `run.status` is kOk for a
+/// clean run; kDegraded when the supervisor absorbed faults (watchdog
+/// timeouts, injected faults, coasting) but every frame still got a
+/// result; kWorkerFailure when a pipeline thread threw — the run shuts
+/// down cleanly (queues closed, threads joined) and the partial frames are
+/// returned.
 struct RealtimeResult {
   RunResult run;
   RealtimeStats stats;
-  /// kOk for a clean run; kDegraded when the supervisor absorbed faults
-  /// (watchdog timeouts, injected faults, coasting) but every frame still
-  /// got a result; kWorkerFailure when a pipeline thread threw — the run
-  /// shuts down cleanly (queues closed, threads joined) and the partial
-  /// frames are returned.
-  Status status;
   /// Telemetry recorded during this run only (global snapshot diffed
   /// against the run's start). Empty when obs::Telemetry is disabled. The
-  /// legacy counters above are kept for API compatibility; the two views
-  /// must agree (e.g. `stats.frames_detected` == counter "detector.cycles"
-  /// — test_realtime asserts this).
+  /// counters above and this view must agree (e.g. `stats.frames_detected`
+  /// == counter "detector.cycles" — test_realtime asserts this).
   obs::MetricsSnapshot metrics;
 };
 
@@ -122,8 +112,12 @@ struct RealtimeResult {
 /// detector fetches a new frame. Thread communication uses mutexes and
 /// condition variables ("lock" + "event" in §IV-B).
 ///
+/// The threads schedule over one EngineContext: its store, fault-wrapped
+/// detector and tracker, catch-up batch (CatchupBatch), latency model and
+/// SLO tracker are the ones the virtual-time engines use.
+///
 /// Worker threads never abort the process: exceptions are converted into
-/// `RealtimeResult::status` and the other threads are shut down cleanly
+/// `run.status` and the other threads are shut down cleanly
 /// (buffer + event queue closed, camera stopped). With
 /// `options.supervisor.enabled`, detector overruns are cancelled at the
 /// watchdog deadline and the pipeline degrades down the

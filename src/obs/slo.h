@@ -81,7 +81,7 @@ struct SloBreachEvent {
   std::string reason = "";     ///< violation tag of the flipping window
 };
 
-/// Full-run SLO evaluation, mirrored into core::RunResult/RealtimeStats.
+/// Full-run SLO evaluation, reported in core::RunResult::slo.
 struct SloReport {
   SloSpec spec;
   bool evaluated = false;  ///< false when no tracker ran (report is empty)

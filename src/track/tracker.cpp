@@ -21,7 +21,8 @@ void ObjectTracker::set_reference(const vision::ImageU8& frame,
   // The reference pyramid's level 0 is the frame as float, so the corner
   // scores read it instead of converting the frame a second time (only a
   // pyramid-less config, pyramid_levels <= 0, converts it here).
-  adopt_reference_pyramid(frame);
+  prev_pyramid_ = vision::ImagePyramid(frame, params_.pyramid_levels,
+                                       /*min_dimension=*/16, params_.kernels);
   const vision::ImageF32 converted = prev_pyramid_.empty()
                                          ? vision::to_float(frame, params_.kernels)
                                          : vision::ImageF32{};
@@ -206,7 +207,6 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
   }
 
   prev_pyramid_ = std::move(next_pyramid);
-  prev_frame_ = frame;
   frame_size_ = frame_size;
 
   if (obs::Telemetry::enabled()) {
@@ -223,27 +223,6 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
     }
   }
   return stats;
-}
-
-void ObjectTracker::adopt_reference_pyramid(const vision::ImageU8& frame) {
-  // The frame a reference detection ran on has usually just been tracked
-  // (track_to moved its pyramid into prev_pyramid_); a byte-compare is two
-  // orders of magnitude cheaper than rebuilding the pyramid, so probe
-  // before recomputing.
-  const bool reusable = !prev_pyramid_.empty() &&
-                        prev_frame_.width() == frame.width() &&
-                        prev_frame_.height() == frame.height() &&
-                        prev_frame_.pixels() == frame.pixels();
-  if (!reusable) {
-    prev_pyramid_ = vision::ImagePyramid(frame, params_.pyramid_levels,
-                                         /*min_dimension=*/16, params_.kernels);
-  }
-  prev_frame_ = frame;
-  if (obs::Telemetry::enabled()) {
-    obs::metrics()
-        .counter("tracker", reusable ? "pyramid_reused" : "pyramid_rebuilt")
-        .add();
-  }
 }
 
 std::vector<metrics::LabeledBox> ObjectTracker::current_boxes() const {

@@ -86,17 +86,11 @@ class ObjectTracker : public TrackerInterface {
     bool lost = false;
   };
 
-  /// Pyramid for `frame`, reusing `prev_pyramid_` when `frame` is
-  /// byte-identical to the frame it was built from (the common
-  /// set_reference-after-track_to case). Updates `prev_frame_`.
-  void adopt_reference_pyramid(const vision::ImageU8& frame);
-
   TrackerParams params_;
   std::vector<TrackedObject> objects_;
   std::vector<geometry::Point2f> features_;
   std::vector<bool> alive_;
   vision::ImagePyramid prev_pyramid_;
-  vision::ImageU8 prev_frame_;   // frame prev_pyramid_ was built from
   std::vector<vision::RowSpan> mask_spans_;  // box mask of the last reference
   geometry::Size frame_size_{};  // of the last processed frame
 };

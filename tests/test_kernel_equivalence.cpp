@@ -329,7 +329,7 @@ TEST(KernelIsaMatrix, ForcedTiersClampToHostSupport) {
   EXPECT_EQ(simd::ops_for_isa(simd::Isa::kScalar).isa, simd::Isa::kScalar);
 }
 
-TEST(KernelEquivalence, TrackerReusesPyramidForRepeatedReferenceFrame) {
+TEST(KernelEquivalence, TrackerRepeatedReferenceFrameGivesTheSameBox) {
   const ImageU8 frame = test_frame(160, 120, 21);
   track::TrackerParams params;
   track::ObjectTracker tracker(params);
@@ -338,12 +338,16 @@ TEST(KernelEquivalence, TrackerReusesPyramidForRepeatedReferenceFrame) {
   d.box = {30.0f, 30.0f, 40.0f, 40.0f};
   dets.push_back(d);
   tracker.set_reference(frame, dets);
-  // Same frame again: the stored pyramid must be reused; behaviour (boxes,
-  // features) is unchanged either way.
+  const auto first = tracker.current_boxes();
+  // Same frame again: the reference is rebuilt from the same pixels, so the
+  // boxes are unchanged.
   tracker.set_reference(frame, dets);
   EXPECT_TRUE(tracker.has_reference());
   const auto boxes = tracker.current_boxes();
   ASSERT_EQ(boxes.size(), 1u);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(boxes[0].box, first[0].box);
+  EXPECT_EQ(boxes[0].cls, first[0].cls);
 }
 
 }  // namespace

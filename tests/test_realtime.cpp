@@ -109,7 +109,7 @@ TEST(RealtimePipeline, AdapterSwitchesUnderRealThreads) {
   options.setting = detect::ModelSetting::kYolov3_320;
   options.time_scale = timing_sensitive_scale(30.0);
   const RealtimeResult result = run_realtime(video, options);
-  EXPECT_GE(result.stats.setting_switches, 1);
+  EXPECT_GE(result.run.setting_switches, 1);
   // And the final cycles should sit at a larger size than the start.
   ASSERT_FALSE(result.run.cycles.empty());
   EXPECT_NE(result.run.cycles.back().setting, detect::ModelSetting::kYolov3_320);
@@ -127,7 +127,8 @@ TEST(RealtimePipeline, NoFrameRendersTwiceThroughTheStore) {
   options.frame_store.window = video.frame_count();  // retain everything
   const RealtimeResult result = run_realtime(video, options);
 
-  EXPECT_EQ(result.stats.frames_rendered, result.stats.frames_captured);
+  EXPECT_EQ(result.run.frame_store.renders,
+            static_cast<std::uint64_t>(result.stats.frames_captured));
   EXPECT_EQ(result.run.frame_store.re_renders, 0u);
   // Every tracker access (reference re-arm + tracked frames) was a shared
   // hit on a frame the camera had already rendered.
@@ -137,8 +138,9 @@ TEST(RealtimePipeline, NoFrameRendersTwiceThroughTheStore) {
 }
 
 TEST(RealtimePipeline, LegacyStatsAgreeWithTelemetrySnapshot) {
-  // The legacy RealtimeStats counters and the obs metrics layer observe the
-  // same run; any disagreement means an instrumentation site drifted.
+  // The RealtimeStats / RunResult counters and the obs metrics layer
+  // observe the same run; any disagreement means an instrumentation site
+  // drifted.
   video::SyntheticVideo video(scene(17, 120));
   const adapt::ModelAdapter adapter = pretrained_adapter();
   video.precache();
@@ -159,7 +161,7 @@ TEST(RealtimePipeline, LegacyStatsAgreeWithTelemetrySnapshot) {
   EXPECT_EQ(snap.counter("tracker.cancellations"),
             static_cast<std::uint64_t>(result.stats.tracking_tasks_cancelled));
   EXPECT_EQ(snap.counter("adapter.switches"),
-            static_cast<std::uint64_t>(result.stats.setting_switches));
+            static_cast<std::uint64_t>(result.run.setting_switches));
   EXPECT_EQ(snap.counter("camera.frames"),
             static_cast<std::uint64_t>(result.stats.frames_captured));
   EXPECT_EQ(snap.counter("buffer.dropped"),
@@ -193,16 +195,16 @@ TEST(RealtimePipeline, UnsupervisedRunReportsCleanStatus) {
   RealtimeOptions options;
   options.time_scale = 30.0;
   const RealtimeResult result = run_realtime(video, options);
-  EXPECT_TRUE(result.status.ok()) << result.status.to_string();
-  EXPECT_FALSE(result.status.failed());
-  EXPECT_EQ(result.status.code(), StatusCode::kOk);
+  EXPECT_TRUE(result.run.status.ok()) << result.run.status.to_string();
+  EXPECT_FALSE(result.run.status.failed());
+  EXPECT_EQ(result.run.status.code(), StatusCode::kOk);
   EXPECT_EQ(result.stats.watchdog_timeouts, 0);
   EXPECT_EQ(result.stats.coast_cycles, 0);
   EXPECT_EQ(result.stats.coast_frames, 0);
   EXPECT_EQ(result.stats.degrade_steps_down, 0);
   EXPECT_EQ(result.stats.degrade_steps_up, 0);
   EXPECT_EQ(result.stats.max_degrade_level, 0);
-  EXPECT_EQ(result.stats.faults_injected, 0);
+  EXPECT_EQ(result.run.faults_injected, 0u);
 }
 
 TEST(RealtimePipeline, RunsBackToBackWithoutLeakingThreads) {
@@ -216,21 +218,19 @@ TEST(RealtimePipeline, RunsBackToBackWithoutLeakingThreads) {
   }
 }
 
-TEST(RealtimePipeline, PopulatesEnergyRailsAndMirrorsStatusOntoTheRun) {
+TEST(RealtimePipeline, PopulatesEnergyRailsOverTheVideoTimeline) {
   video::SyntheticVideo video(scene(21, 60));
   video.precache();
   RealtimeOptions options;
   options.time_scale = 30.0;
   const RealtimeResult result = run_realtime(video, options);
-  // The per-worker meters (GPU inference, CPU tracking) integrate over the
-  // video timeline, exactly like the virtual engines' epilogue.
+  // GPU inference and CPU tracking integrate over the video timeline, not
+  // over the (possibly overrun) wall clock.
   EXPECT_GT(result.run.energy.gpu_wh, 0.0);
   EXPECT_GT(result.run.energy.cpu_wh, 0.0);
   EXPECT_GT(result.run.energy.total_wh(), 0.0);
-  // The embedded RunResult carries the same verdict as the legacy fields.
-  EXPECT_EQ(result.run.status.code(), result.status.code());
-  EXPECT_EQ(result.run.faults_injected,
-            static_cast<std::uint64_t>(result.stats.faults_injected));
+  EXPECT_EQ(result.run.timeline_ms,
+            video.frame_count() * video.frame_interval_ms());
 }
 
 TEST(RealtimePipeline, TrackerFaultChannelInjectsAndDegradesTheRun) {
@@ -243,12 +243,10 @@ TEST(RealtimePipeline, TrackerFaultChannelInjectsAndDegradesTheRun) {
   options.time_scale = timing_sensitive_scale(30.0);
   options.fault_plan = &*plan;
   const RealtimeResult result = run_realtime(video, options);
-  EXPECT_FALSE(result.status.failed()) << result.status.to_string();
-  EXPECT_GT(result.stats.faults_injected, 0);
-  EXPECT_EQ(result.status.code(), StatusCode::kDegraded)
-      << result.status.to_string();
-  EXPECT_EQ(result.run.faults_injected,
-            static_cast<std::uint64_t>(result.stats.faults_injected));
+  EXPECT_FALSE(result.run.status.failed()) << result.run.status.to_string();
+  EXPECT_GT(result.run.faults_injected, 0u);
+  EXPECT_EQ(result.run.status.code(), StatusCode::kDegraded)
+      << result.run.status.to_string();
 }
 
 TEST(RealtimePipeline, FailureStatusCarriesChannelAtFrameAnnotation) {
@@ -265,9 +263,9 @@ TEST(RealtimePipeline, FailureStatusCarriesChannelAtFrameAnnotation) {
   options.time_scale = timing_sensitive_scale(30.0);
   options.fault_plan = &*plan;
   const RealtimeResult result = run_realtime(video, options);
-  EXPECT_EQ(result.status.code(), StatusCode::kWorkerFailure)
-      << result.status.to_string();
-  const std::string message(result.status.message());
+  EXPECT_EQ(result.run.status.code(), StatusCode::kWorkerFailure)
+      << result.run.status.to_string();
+  const std::string message(result.run.status.message());
   EXPECT_EQ(message.rfind("detector@frame ", 0), 0u) << message;
   EXPECT_NE(message.find(": detector thread: "), std::string::npos) << message;
   EXPECT_NE(message.find("injected detector fault"), std::string::npos)
@@ -302,8 +300,8 @@ TEST(RealtimePipeline, CoastingBillsCoastPowerNotInferencePower) {
   const RealtimeResult result = run_realtime(video, degraded);
 
   EXPECT_GT(result.stats.coast_cycles, 0);
-  EXPECT_EQ(result.status.code(), StatusCode::kDegraded)
-      << result.status.to_string();
+  EXPECT_EQ(result.run.status.code(), StatusCode::kDegraded)
+      << result.run.status.to_string();
   EXPECT_GT(result.run.energy.cpu_wh, 0.0);  // coast + tracking still billed
   EXPECT_LT(result.run.energy.gpu_wh, baseline.run.energy.gpu_wh);
 }
