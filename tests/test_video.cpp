@@ -251,6 +251,40 @@ SceneConfig odd_size_noiseless_scene() {
   return cfg;
 }
 
+/// A 397x61 frame (not a multiple of 8 wide, so row kernels end in a
+/// tail) under sensor noise loud enough to push pixels into both clamps.
+SceneConfig odd_width_loud_noise_scene() {
+  SceneConfig cfg;
+  cfg.width = 397;
+  cfg.height = 61;
+  cfg.frame_count = 12;
+  cfg.seed = 397061;
+  cfg.camera_pan = -1.33;
+  cfg.min_obj_size = 12.0;
+  cfg.max_obj_size = 60.0;
+  cfg.initial_objects = 6;
+  cfg.texture_contrast = 120.0;
+  cfg.noise_sigma = 40.0;
+  return cfg;
+}
+
+TEST(SyntheticVideoTest, LoudNoiseSceneHitsBothClamps) {
+  // Keeps the golden below from silently losing either clamp of the
+  // sensor-noise pass.
+  const SyntheticVideo video(odd_width_loud_noise_scene());
+  std::size_t zeros = 0;
+  std::size_t saturated = 0;
+  for (int f = 0; f < video.frame_count(); ++f) {
+    const vision::ImageU8 frame = video.render(f);
+    for (const std::uint8_t p : frame.pixels()) {
+      zeros += p == 0 ? 1 : 0;
+      saturated += p == 255 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(zeros, 0u);
+  EXPECT_GT(saturated, 0u);
+}
+
 TEST(SyntheticVideoTest, EdgeStraddlingSceneCoversAllFourEdges) {
   // Keeps the golden below from silently losing the clipped-object paths.
   const SyntheticVideo video(edge_straddling_pan_scene());
@@ -291,6 +325,8 @@ TEST(SyntheticVideoTest, PixelDigestsMatchGolden) {
       {"edge_straddling_pan", edge_straddling_pan_scene(), 0xF3F9C600C661F996ULL},
       {"odd_97x53_noiseless", odd_size_noiseless_scene(), 0x0E4479211A75722EULL},
       {"odd_97x53_noisy", noisy, 0x230B15396C9FAF25ULL},
+      {"odd_397x61_loud_noise", odd_width_loud_noise_scene(),
+       0x2CB77DFC8EF6DBCCULL},
   };
   for (const Case& c : cases) {
     const SyntheticVideo video(c.config);
