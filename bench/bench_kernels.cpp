@@ -5,13 +5,14 @@
 //    data-level-parallelism trajectory the simd/ subtree is accountable
 //    for; scripts/bench_gate.py enforces the AVX2 floors from the emitted
 //    `gate` block (avx2 >= 1.5x scalar on pyramid build and LK). On a host
-//    without AVX2 the block names both guards under `skipped`. Three rows
+//    without AVX2 the block names both guards under `skipped`. Four rows
 //    are report-only: `lk_flow_border` (the LK call on points next to the
 //    frame edges, where windows sample replicate-border tiles),
 //    `lk_flow_subpixel` (the LK call on non-integer points, as a tracker
-//    passes them after its first step) and `good_features_masked` (the
+//    passes them after its first step), `good_features_masked` (the
 //    tracker's corner search: boxes covering about 6% of the frame, scored
-//    on their spans only).
+//    on their spans only) and `sensor_noise` (the renderer's per-pixel
+//    noise pass over one 384x216 frame; ISA sweep only, it never threads).
 //  * Thread sweep — 1/2/4/N threads at the auto-dispatched ISA, speedup vs
 //    the serial path (the historical sweep).
 //
@@ -170,6 +171,7 @@ int main(int argc, char** argv) {
   struct Kernel {
     std::string name;
     KernelOp op;
+    bool threaded = true;  ///< false: one-thread kernel, ISA sweep only
   };
   std::vector<Kernel> kernels;
   kernels.push_back({"pyramid_build", [&](const vision::KernelConfig& cfg) {
@@ -271,6 +273,21 @@ int main(int argc, char** argv) {
                                                         out, status, {}, cfg);
                      }});
 
+  // Report-only: the renderer's sensor-noise pass over one perfbench-sized
+  // 384x216 frame (the renderer resolves the table once per frame, too).
+  // It rewrites the frame in place; its cost does not depend on the pixels.
+  vision::ImageU8 noise_frame = make_frame(384, 216, 7);
+  kernels.push_back({"sensor_noise",
+                     [&](const vision::KernelConfig& cfg) {
+                       const auto noise_row =
+                           vision::simd::ops_for(cfg).sensor_noise_row;
+                       for (int y = 0; y < noise_frame.height(); ++y) {
+                         noise_row(&noise_frame.at(0, y), noise_frame.width(),
+                                   0x6E6F6973, y, 3.4f * 1.5f);
+                       }
+                     },
+                     /*threaded=*/false});
+
   // ---- ISA sweep: every tier, one thread, speedup vs scalar -------------
   double scalar_pyramid_ns = 0.0;
   double scalar_lk_ns = 0.0;
@@ -305,6 +322,7 @@ int main(int argc, char** argv) {
 
   // ---- Thread sweep: auto ISA, speedup vs serial ------------------------
   for (const Kernel& k : kernels) {
+    if (!k.threaded) continue;
     double serial_ns = 0.0;
     for (int threads : thread_counts) {
       vision::KernelConfig cfg;

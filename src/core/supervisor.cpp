@@ -34,10 +34,7 @@ double exact_percentile(std::vector<double> values, double q) {
 /// SplitMix64 finalizer: decorrelates the (stream seed, attempt) pairs
 /// that seed the backoff-jitter draws.
 std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+  return util::splitmix64_finalize(x + 0x9E3779B97F4A7C15ULL);
 }
 
 /// Smallest multiple of `step` at or above `t` (within kEps). The stream's

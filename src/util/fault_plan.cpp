@@ -14,10 +14,7 @@ namespace {
 /// enough to decorrelate (seed, name, rule, event) tuples.
 std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  std::uint64_t z = h;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return splitmix64_finalize(h);
 }
 
 std::uint64_t hash_name(std::string_view name) {

@@ -5,6 +5,33 @@
 
 namespace adavp::util {
 
+/// SplitMix64's output finaliser: a bijective mix of all 64 bits. Shared
+/// by `Rng`'s seeding, the fault plan's event hashes, the supervisor's
+/// backoff jitter and the renderer's coordinate hash (`hash3`).
+inline std::uint64_t splitmix64_finalize(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+/// Multipliers of `hash3`'s two coordinates.
+inline constexpr std::uint64_t kHash3MulA = 0x9E3779B97F4A7C15ULL;
+inline constexpr std::uint64_t kHash3MulB = 0xC2B2AE3D27D4EB4FULL;
+
+/// Stateless hash of a seed and two integer coordinates: the renderer's
+/// value-noise lattice and per-pixel sensor noise.
+inline std::uint64_t hash3(std::uint64_t seed, std::int64_t a, std::int64_t b) {
+  return splitmix64_finalize(seed ^
+                             (static_cast<std::uint64_t>(a) * kHash3MulA) ^
+                             (static_cast<std::uint64_t>(b) * kHash3MulB));
+}
+
+/// `hash3` mapped to a float in [0, 1]: its top 53 bits as a double in
+/// [0, 1), rounded to float (which may round up to 1.0f).
+inline float hash3_unit(std::uint64_t seed, std::int64_t a, std::int64_t b) {
+  return static_cast<float>((hash3(seed, a, b) >> 11) * 0x1.0p-53);
+}
+
 /// Deterministic pseudo-random number generator.
 ///
 /// Implements xoshiro256** seeded via SplitMix64. All randomness in the

@@ -7,7 +7,7 @@ namespace adavp::util {
 ScratchArena::ScratchArena(std::size_t initial_capacity) {
   Block first;
   first.size = std::max<std::size_t>(initial_capacity, 64);
-  first.data = std::make_unique<std::byte[]>(first.size);
+  first.data = std::make_unique_for_overwrite<std::byte[]>(first.size);
   blocks_.push_back(std::move(first));
 }
 
@@ -32,7 +32,7 @@ void* ScratchArena::alloc_bytes(std::size_t bytes, std::size_t alignment) {
     if (block_index_ + 1 == blocks_.size()) {
       Block next;
       next.size = std::max(blocks_.back().size * 2, bytes + alignment);
-      next.data = std::make_unique<std::byte[]>(next.size);
+      next.data = std::make_unique_for_overwrite<std::byte[]>(next.size);
       blocks_.push_back(std::move(next));
     }
     ++block_index_;

@@ -4,24 +4,15 @@
 #include <cmath>
 #include <limits>
 
+#include "util/rng.h"
 #include "util/scratch_arena.h"
 #include "util/thread_pool.h"
+#include "vision/kernel_config.h"
+#include "vision/simd/dispatch.h"
 
 namespace adavp::video {
 
 namespace {
-
-std::uint64_t hash3(std::uint64_t seed, std::int64_t a, std::int64_t b) {
-  std::uint64_t x = seed ^ (static_cast<std::uint64_t>(a) * 0x9E3779B97F4A7C15ULL) ^
-                    (static_cast<std::uint64_t>(b) * 0xC2B2AE3D27D4EB4FULL);
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-float hash_unit(std::uint64_t seed, std::int64_t a, std::int64_t b) {
-  return static_cast<float>((hash3(seed, a, b) >> 11) * 0x1.0p-53);
-}
 
 float smoothstep(float t) { return t * t * (3.0f - 2.0f * t); }
 
@@ -105,7 +96,7 @@ class NoiseOctave {
   /// out[i] = x-blend of lattice row `iy` at strip column i.
   void blend_lattice_row(std::int64_t iy, float* out) {
     for (int k = 0; k < lattice_size_; ++k) {
-      lattice_[k] = hash_unit(seed_, ix_lo_ + k, iy);
+      lattice_[k] = util::hash3_unit(seed_, ix_lo_ + k, iy);
     }
     for (int i = 0; i < n_; ++i) {
       const float v0 = lattice_[col_[i]];
@@ -163,7 +154,7 @@ std::uint8_t to_pixel(float v) {
 }  // namespace
 
 SyntheticVideo::SyntheticVideo(const SceneConfig& config) : config_(config) {
-  background_seed_ = hash3(config_.seed, 0x6261636B, 0);  // "back"
+  background_seed_ = util::hash3(config_.seed, 0x6261636B, 0);  // "back"
   precompute_trajectories();
 }
 
@@ -205,7 +196,7 @@ void SyntheticVideo::precompute_trajectories() {
     obj.cls = random_class();
     obj.w = static_cast<float>(rng.uniform(config_.min_obj_size, config_.max_obj_size));
     obj.h = static_cast<float>(obj.w * rng.uniform(0.6, 1.1));
-    obj.texture_seed = hash3(config_.seed, 0x6F626A, obj.object_id);
+    obj.texture_seed = util::hash3(config_.seed, 0x6F626A, obj.object_id);
     const double speed = random_speed();
     if (initial) {
       obj.x = static_cast<float>(pan_x + rng.uniform(0.05, 0.75) * fw);
@@ -357,7 +348,7 @@ void SyntheticVideo::rasterize_object_rows(vision::ImageU8& img,
   // Base tone per object so objects stand out from each other and from the
   // background.
   const float base =
-      90.0f + 110.0f * hash_unit(obj.texture_seed, 17, 23);
+      90.0f + 110.0f * util::hash3_unit(obj.texture_seed, 17, 23);
   const auto contrast = static_cast<float>(config_.texture_contrast);
 
   for (int y = y0; y < y1; ++y) {
@@ -450,16 +441,16 @@ void SyntheticVideo::rasterize_rows(int index, vision::ImageU8& img,
     rasterize_object_rows(img, obj, row_begin, row_end);
   }
 
-  // Deterministic per-frame sensor noise.
+  // Deterministic per-frame sensor noise, on the dispatched ISA tier
+  // (every tier is bit-identical to the scalar reference).
   if (config_.noise_sigma > 0.0) {
-    const std::uint64_t noise_seed = hash3(config_.seed, 0x6E6F6973, index);
-    const auto sigma = static_cast<float>(config_.noise_sigma);
+    const std::uint64_t noise_seed =
+        util::hash3(config_.seed, 0x6E6F6973, index);
+    const float gain = 3.4f * static_cast<float>(config_.noise_sigma);
+    const auto noise_row =
+        vision::simd::ops_for(vision::KernelConfig{}).sensor_noise_row;
     for (int y = row_begin; y < row_end; ++y) {
-      std::uint8_t* row = &img.at(0, y);
-      for (int x = 0; x < width; ++x) {
-        const float u = hash_unit(noise_seed, x, y) - 0.5f;
-        row[x] = to_pixel(static_cast<float>(row[x]) + 3.4f * sigma * u);
-      }
+      noise_row(&img.at(0, y), width, noise_seed, y, gain);
     }
   }
 }

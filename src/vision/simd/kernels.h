@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "vision/simd/isa.h"
 
@@ -16,7 +17,8 @@ namespace adavp::vision::simd {
 /// sub-vector tails run the shared reference loops in `kernels_ref.h`.
 /// The two LK samplers are the exception: they read from an explicit
 /// block (the level, or a replicate-border tile of it), so LK's border
-/// windows run them too.
+/// windows run them too. `sensor_noise_row` is the one non-vision entry:
+/// the synthetic camera's per-pixel noise pass, bytes in and bytes out.
 struct SimdOps {
   Isa isa;
 
@@ -71,6 +73,15 @@ struct SimdOps {
   /// tensor's shared tap grid (optical_flow.cpp).
   void (*lk_sample_patch)(const float* pix, int w, int ox, int oy,
                           float base_x, float base_y, int r, float* jvals);
+
+  /// Renderer sensor noise, in place over the whole row `y`: for x in
+  /// [0, width)
+  ///   u = util::hash3_unit(noise_seed, x, y) - 0.5f
+  ///   row[x] = (uint8) clamp(float(row[x]) + gain * u, 0, 255).
+  /// `gain` must be finite.
+  void (*sensor_noise_row)(std::uint8_t* row, int width,
+                           std::uint64_t noise_seed, std::int64_t y,
+                           float gain);
 };
 
 /// Tables provided by the per-ISA translation units. `sse2_ops` /

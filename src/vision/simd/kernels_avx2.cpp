@@ -1,13 +1,14 @@
 // AVX2 tier: 8-wide vectorization of the interior kernels, one lane per
 // output element, plus gathered bilinear sampling for the two LK hot
-// loops. Per-lane operation order mirrors the scalar reference exactly
-// (kernels_ref.h), and all loop-carried reductions (LK's gxx/bx/residual
-// accumulations) stay with the scalar caller, so every result is
-// bit-identical to the reference — see DESIGN.md §14 for the
-// lane-reduction rules. A window row that is not a multiple of 8 wide ends
-// with a full group shifted left to end at its last tap (it rewrites the
-// overlapped taps with the same bits); rows narrower than 8 use masked
-// gathers and masked stores, whose off lanes never touch memory.
+// loops and the renderer's sensor-noise row (64-bit hash lanes). Per-lane
+// operation order mirrors the scalar reference exactly (kernels_ref.h),
+// and all loop-carried reductions (LK's gxx/bx/residual accumulations)
+// stay with the scalar caller, so every result is bit-identical to the
+// reference — see DESIGN.md §14 for the lane-reduction rules. A window
+// row that is not a multiple of 8 wide ends with a full group shifted
+// left to end at its last tap (it rewrites the overlapped taps with the
+// same bits); rows narrower than 8 use masked gathers and masked stores,
+// whose off lanes never touch memory.
 //
 // Built with -mavx2 -ffp-contract=off (never -mfma): contraction would
 // fuse the mul/add chains into FMAs and change the low bits. On targets
@@ -321,13 +322,103 @@ void lk_sample_patch_avx2(const float* pix, int w, int ox, int oy,
   }
 }
 
+// ---- Sensor noise --------------------------------------------------------
+
+/// a * m mod 2^64 per 64-bit lane, for a constant m split into its 32-bit
+/// halves (each in the low dword of every lane): lo*lo + ((hi*lo + lo*hi)
+/// << 32), since mul_epu32 multiplies the low dwords only. (Moving a's high
+/// dword down with shuffle_epi32 instead of the shift, to spread the work
+/// over another port, measured no faster.)
+inline __m256i mul64_const(__m256i a, __m256i m_lo, __m256i m_hi) {
+  const __m256i a_hi = _mm256_srli_epi64(a, 32);
+  const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(a_hi, m_lo),
+                                         _mm256_mul_epu32(a, m_hi));
+  return _mm256_add_epi64(_mm256_mul_epu32(a, m_lo),
+                          _mm256_slli_epi64(cross, 32));
+}
+
+/// Per-lane util::splitmix64_finalize.
+inline __m256i splitmix64_finalize4(__m256i z) {
+  const __m256i m1_lo = _mm256_set1_epi64x(0x1CE4E5B9);
+  const __m256i m1_hi = _mm256_set1_epi64x(0xBF58476D);
+  const __m256i m2_lo = _mm256_set1_epi64x(0x133111EB);
+  const __m256i m2_hi = _mm256_set1_epi64x(0x94D049BB);
+  z = mul64_const(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)), m1_lo, m1_hi);
+  z = mul64_const(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)), m2_lo, m2_hi);
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
+}
+
+/// static_cast<float>((h >> 11) * 0x1.0p-53) per lane. v = h >> 11 is
+/// below 2^53, so it is exact as a double; it is converted as
+/// hi * 2^32 + lo from its 32-bit halves with the magic-exponent trick:
+/// (2^84 + hi * 2^32) - (2^84 + 2^52) + (2^52 + lo), every step exact.
+/// The scaling by 2^-53 is exact too, and cvtpd_ps rounds to nearest
+/// under the default MXCSR, like the scalar cast.
+inline __m128 hash_to_unit4(__m256i h) {
+  const __m256i hi = _mm256_or_si256(_mm256_srli_epi64(h, 43),
+                                     _mm256_set1_epi64x(0x4530000000000000));
+  const __m256i lo = _mm256_blend_epi32(_mm256_srli_epi64(h, 11),
+                                        _mm256_set1_epi64x(0x4330000000000000),
+                                        0xAA);
+  const __m256d v = _mm256_add_pd(
+      _mm256_sub_pd(_mm256_castsi256_pd(hi),
+                    _mm256_set1_pd(0x1.0p84 + 0x1.0p52)),
+      _mm256_castsi256_pd(lo));
+  return _mm256_cvtpd_ps(_mm256_mul_pd(v, _mm256_set1_pd(0x1.0p-53)));
+}
+
+/// Eight pixels per step, hashed as two independent 4-lane chains (columns
+/// x..x+3 and x+4..x+7). The row term seed ^ y * B is one broadcast; each
+/// column term x * A advances by 8 * A mod 2^64 per step. The pixel update
+/// keeps the reference's float operations and order; max(min(v, 255), 0)
+/// equals std::clamp(v, 0, 255) for finite v, and cvttps truncates like
+/// the uint8 cast of an in-range float. Columns past the last multiple of
+/// 8 run the reference.
+void sensor_noise_row_avx2(std::uint8_t* row, int width,
+                           std::uint64_t noise_seed, std::int64_t y,
+                           float gain) {
+  constexpr std::uint64_t kA = util::kHash3MulA;
+  const __m256i row_term = _mm256_set1_epi64x(static_cast<long long>(
+      noise_seed ^ (static_cast<std::uint64_t>(y) * util::kHash3MulB)));
+  const __m256i step = _mm256_set1_epi64x(static_cast<long long>(8 * kA));
+  __m256i col_a = _mm256_setr_epi64x(0, static_cast<long long>(kA),
+                                     static_cast<long long>(2 * kA),
+                                     static_cast<long long>(3 * kA));
+  __m256i col_b = _mm256_add_epi64(
+      col_a, _mm256_set1_epi64x(static_cast<long long>(4 * kA)));
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 vgain = _mm256_set1_ps(gain);
+  const __m256 lo = _mm256_setzero_ps();
+  const __m256 hi = _mm256_set1_ps(255.0f);
+  int x = 0;
+  for (; x + 8 <= width; x += 8) {
+    const __m128 unit_a =
+        hash_to_unit4(splitmix64_finalize4(_mm256_xor_si256(row_term, col_a)));
+    const __m128 unit_b =
+        hash_to_unit4(splitmix64_finalize4(_mm256_xor_si256(row_term, col_b)));
+    col_a = _mm256_add_epi64(col_a, step);
+    col_b = _mm256_add_epi64(col_b, step);
+    const __m256 u = _mm256_sub_ps(_mm256_set_m128(unit_b, unit_a), half);
+    const __m256 pix = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(row + x))));
+    const __m256 v = _mm256_max_ps(
+        _mm256_min_ps(_mm256_add_ps(pix, _mm256_mul_ps(vgain, u)), hi), lo);
+    const __m256i q = _mm256_cvttps_epi32(v);
+    const __m128i q16 = _mm_packus_epi32(_mm256_castsi256_si128(q),
+                                         _mm256_extracti128_si256(q, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(row + x),
+                     _mm_packus_epi16(q16, q16));
+  }
+  ref::sensor_noise_span(row, x, width, noise_seed, y, gain);
+}
+
 }  // namespace
 
 const SimdOps* avx2_ops() {
   static const SimdOps ops = {
       Isa::kAvx2,          filter_row_avx2,  filter_col_avx2,
       sobel_row_avx2,      downsample_row_avx2, min_eig_row_avx2,
-      lk_sample_window_avx2, lk_sample_patch_avx2,
+      lk_sample_window_avx2, lk_sample_patch_avx2, sensor_noise_row_avx2,
   };
   return &ops;
 }

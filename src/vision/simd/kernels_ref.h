@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+
+#include "util/rng.h"
 
 namespace adavp::vision::simd::ref {
 
@@ -162,6 +165,24 @@ inline void lk_sample_patch(const float* pix, int w, int ox, int oy,
       jvals[idx] = bilinear_unchecked(pix, w, ox, oy, jx, jy);
     }
   }
+}
+
+/// Sensor noise over columns [x0, x1) of row `y`: the renderer's
+/// historical per-pixel loop, with gain = 3.4f * sigma hoisted.
+inline void sensor_noise_span(std::uint8_t* row, int x0, int x1,
+                              std::uint64_t noise_seed, std::int64_t y,
+                              float gain) {
+  for (int x = x0; x < x1; ++x) {
+    const float u = util::hash3_unit(noise_seed, x, y) - 0.5f;
+    row[x] = static_cast<std::uint8_t>(
+        std::clamp(static_cast<float>(row[x]) + gain * u, 0.0f, 255.0f));
+  }
+}
+
+inline void sensor_noise_row(std::uint8_t* row, int width,
+                             std::uint64_t noise_seed, std::int64_t y,
+                             float gain) {
+  sensor_noise_span(row, 0, width, noise_seed, y, gain);
 }
 
 }  // namespace adavp::vision::simd::ref

@@ -16,12 +16,14 @@
 
 #include "detect/detection.h"
 #include "track/tracker.h"
+#include "util/rng.h"
 #include "video/scene.h"
 #include "vision/good_features.h"
 #include "vision/image_ops.h"
 #include "vision/optical_flow.h"
 #include "vision/pyramid.h"
 #include "vision/simd/dispatch.h"
+#include "vision/simd/kernels_ref.h"
 
 namespace adavp::vision {
 namespace {
@@ -300,6 +302,46 @@ TEST(KernelIsaMatrix, OpticalFlowMatchesScalarBitForBit) {
           EXPECT_EQ(st_s[i].tracked, st_v[i].tracked) << "point " << i;
           EXPECT_EQ(st_s[i].error, st_v[i].error) << "point " << i;
         }
+      }
+    }
+  }
+}
+
+TEST(KernelIsaMatrix, SensorNoiseRowMatchesReferenceOnEveryTier) {
+  // Widths around the 8-lane step (every tail length, and rows narrower
+  // than one step) plus a 384-wide perfbench row with tails on either side.
+  std::vector<int> widths;
+  for (int w = 1; w <= 17; ++w) widths.push_back(w);
+  for (int w = 383; w <= 385; ++w) widths.push_back(w);
+  util::Rng rng(0x5E7503);
+  for (const simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2}) {
+    if (isa > simd::detected_isa()) {
+      std::cout << "[ NOTICE  ] tier " << simd::isa_name(isa)
+                << " unavailable on this host/build; skipping\n";
+      continue;
+    }
+    // Every tier up to the detected one is compiled in and must be the
+    // one that runs, or the comparison below would be vacuous.
+    const simd::SimdOps& ops = simd::ops_for_isa(isa);
+    ASSERT_EQ(ops.isa, isa);
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::uint64_t seed = rng.next_u64();
+      const auto y = static_cast<std::int64_t>(rng.uniform_int(0, 1 << 20));
+      const float gain = trial == 0   ? 0.0f
+                         : trial == 1 ? 200.0f
+                                      : static_cast<float>(rng.uniform(0.0, 200.0));
+      for (const int w : widths) {
+        std::vector<std::uint8_t> row(static_cast<std::size_t>(w));
+        for (std::uint8_t& p : row) {
+          p = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+        }
+        std::vector<std::uint8_t> want = row;
+        simd::ref::sensor_noise_row(want.data(), w, seed, y, gain);
+        ops.sensor_noise_row(row.data(), w, seed, y, gain);
+        ASSERT_EQ(row, want) << simd::isa_name(isa) << " width " << w
+                             << " y " << y << " gain " << gain << " seed "
+                             << seed;
       }
     }
   }
